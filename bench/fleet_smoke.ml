@@ -13,7 +13,8 @@
    third time: the coordinator must notice the death, rebalance the
    ring (cluster.ring.rebalances / keys_moved count it) and still
    deliver all 50 correct answers.  Finally SIGTERM must drain the
-   fleet: exit 0 and the coordinator socket removed.
+   fleet: exit 0, the coordinator socket removed, and every shard port
+   refusing connections (no shard process left behind).
 
    CI entry point: dune build @fleet-smoke *)
 
@@ -225,8 +226,21 @@ let () =
       fleet_log
   in
   let fleet_done = ref false in
+  let shard_endpoints =
+    List.init n_shards (fun i -> Serve.Transport.Tcp (host, base_port + i))
+  in
   let kill_fleet () =
     if not !fleet_done then begin
+      (* a failed run must not leave shard processes behind: ask each
+         shard to drain before killing the coordinator that reaps them *)
+      List.iter
+        (fun ep ->
+          match Serve.Client.connect_endpoint ep with
+          | Ok c ->
+            ignore (Serve.Client.request c P.Shutdown);
+            Serve.Client.close c
+          | Error _ -> ())
+        shard_endpoints;
       (try Unix.kill fleet_pid Sys.sigkill with Unix.Unix_error _ -> ());
       ignore (Unix.waitpid [] fleet_pid)
     end
@@ -376,11 +390,21 @@ let () =
     fail "fleet killed by signal instead of draining");
   if Sys.file_exists fleet_sock then
     fail "coordinator socket left behind after drain";
+  List.iter
+    (fun ep ->
+      match Serve.Transport.dial ep with
+      | Ok fd ->
+        Unix.close fd;
+        fail "%s still accepts connections after the drain"
+          (Serve.Transport.endpoint_to_string ep)
+      | Error _ -> ())
+    shard_endpoints;
 
   Printf.printf
     "fleet-smoke: OK (50-scenario batch byte-identical to single server, \
      cold %.1fs vs warm %.1fs resubmit 100%% cached with zero new pivots, \
      per-shard metrics labels, shard death survived with rebalance, \
-     graceful drain; BENCH_fleet.json written) in %.1fs\n"
+     graceful drain with every shard port closed; BENCH_fleet.json \
+     written) in %.1fs\n"
     cold_wall warm_wall
     (Unix.gettimeofday () -. t0)

@@ -384,7 +384,7 @@ let abl_factors sink =
       let t_fast, r_fast =
         match
           run_with_timeout (fun () ->
-              let t, r = time (fun () -> Opf.Opf_auto.solve_factors topo) in
+              let t, r = time (fun () -> Opf.Float_opf.solve topo) in
               (t, r))
         with
         | Some v -> v

@@ -585,7 +585,7 @@ let contingency_cmd =
     with_stats stats @@ fun () ->
     let result =
       if secure then Opf.Contingency.sc_opf topo
-      else Opf.Opf_auto.solve topo
+      else Opf.Float_opf.solve topo
     in
     match result with
     | Opf.Dc_opf.Dispatch d ->

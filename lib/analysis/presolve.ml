@@ -292,6 +292,16 @@ module Make (N : NUM) : S with type num = N.t = struct
         cells
     in
     match
+      (* Lp merges constraints on one expression into one row, so a row
+         can arrive with its own bounds crossed; the passes below keep a
+         row's bound gap (substitution shifts both, merging checks) *)
+      Array.iter
+        (fun c ->
+          match (c.clo, c.chi) with
+          | Some l, Some h when l >? N.add h N.margin ->
+            raise (Infeasible_at "row has contradictory bounds")
+          | _ -> ())
+        cells;
       let passes = ref 0 in
       while !changed && !passes < 50 do
         changed := false;

@@ -1,5 +1,6 @@
 module J = Obs.Json
 module P = Serve.Protocol
+module Front = Serve.Front
 
 (* The fleet's front door: one process that speaks the same
    line-delimited JSON protocol as a shard, owns no store and no
@@ -43,7 +44,11 @@ let c_batch_failed = Obs.Counter.make "cluster.batch.failed"
 let c_keys_moved = Obs.Counter.make "cluster.ring.keys_moved"
 let c_rebalances = Obs.Counter.make "cluster.ring.rebalances"
 let h_route = Obs.Histogram.make "cluster.route.seconds"
-let h_request = Obs.Histogram.make "cluster.request.seconds"
+
+(* a request without a trace context is minted one at the front door
+   (when tracing is on), so a whole fleet run correlates even for v0
+   clients *)
+let door = Front.door ~name:"cluster" ~rid_prefix:"c" ~mint_trace:true ()
 
 (* a routed job: enough to answer id-addressed verbs and to resubmit
    after a shard death *)
@@ -60,9 +65,7 @@ type t = {
   shards : (string, Shard.t) Hashtbl.t;
   jobs : (int, job) Hashtbl.t;
   mutable next_id : int;
-  mutable next_rid : int;
-  draining : bool Atomic.t;
-  access_log : out_channel option;
+  front : Front.t;
   mutable fwd_trace : (string * string) option;
       (* the trace context forwarded to shard calls of the request being
          handled: the incoming trace id with the coordinator's own span
@@ -72,32 +75,7 @@ type t = {
       (* the shard the current request was routed to, for the access log *)
 }
 
-let log t fmt =
-  Printf.ksprintf
-    (fun s -> if t.cfg.verbose then Printf.eprintf "[fleet] %s\n%!" s)
-    fmt
-
-let now () = Obs.Clock.now ()
-
-(* one JSON object per request, like the shard server's access log, plus
-   the shard the request was routed to *)
-let log_access t fields =
-  match t.access_log with
-  | None -> ()
-  | Some oc ->
-    output_string oc (J.to_string (J.Obj (("ts", J.Float (now ())) :: fields)));
-    output_char oc '\n';
-    flush oc
-
-let ok_fields fields = J.Obj (("ok", J.Bool true) :: fields)
-
-let err ?retry_after msg =
-  J.Obj
-    ([ ("ok", J.Bool false); ("error", J.String msg) ]
-    @
-    match retry_after with
-    | Some s -> [ ("retry_after", J.Float s) ]
-    | None -> [])
+let log t fmt = Front.log t.front fmt
 
 (* ---- placement ---- *)
 
@@ -179,7 +157,7 @@ let handle_submit t s =
   Obs.Histogram.time h_route @@ fun () ->
   let point = point_of_submit s in
   match route_rpc t point (P.Submit s) with
-  | Error e -> err e
+  | Error e -> Front.err e
   | Ok (shard, resp) -> register t ~point ~payload:s ~shard resp
 
 (* fan a batch out one sub-batch per owning shard, gather, and
@@ -188,33 +166,21 @@ let handle_submit t s =
    redispatched, so a batch only loses items when no shards remain. *)
 let handle_batch t items =
   Obs.Counter.add c_batch_submitted (List.length items);
-  let slots = Array.make (List.length items) (err "unrouted") in
+  let slots = Array.make (List.length items) (Front.err "unrouted") in
   let rec dispatch pending =
     if pending <> [] then begin
       match Ring.shards t.ring with
       | [] ->
         List.iter
-          (fun (i, _, _) -> slots.(i) <- err "no live shards")
+          (fun (i, _, _) -> slots.(i) <- Front.err "no live shards")
           pending
       | ring_shards ->
-        let groups = Hashtbl.create (List.length ring_shards) in
+        (* grouped under the ring as it is now: a death below re-places
+           only the dead shard's group *)
+        let owned name = List.filter (fun (_, _, p) -> owner_name t p = Some name) pending in
         List.iter
-          (fun ((_, _, point) as item) ->
-            match owner_name t point with
-            | Some name ->
-              Hashtbl.replace groups name
-                (item
-                :: (match Hashtbl.find_opt groups name with
-                   | Some l -> l
-                   | None -> []))
-            | None -> ())
-          pending;
-        List.iter
-          (fun name ->
-            match Hashtbl.find_opt groups name with
-            | None -> ()
-            | Some rev_group -> (
-              let group = List.rev rev_group in
+          (fun (name, group) ->
+            if group <> [] then (
               let sh = Hashtbl.find t.shards name in
               match
                 Shard.request ?trace:t.fwd_trace sh
@@ -239,19 +205,14 @@ let handle_batch t items =
                   log t "batch to shard %s rejected; re-routing" name;
                   shard_down t sh;
                   dispatch group)))
-          ring_shards
+          (List.map (fun name -> (name, owned name)) ring_shards)
     end
   in
   dispatch (List.mapi (fun i s -> (i, s, point_of_submit s)) items);
   let results = Array.to_list slots in
-  let failed =
-    List.fold_left
-      (fun n r ->
-        match J.member "ok" r with Some (J.Bool true) -> n | _ -> n + 1)
-      0 results
-  in
-  Obs.Counter.add c_batch_failed failed;
-  ok_fields [ ("results", J.List results) ]
+  let failed = List.filter (fun r -> J.member "ok" r <> Some (J.Bool true)) results in
+  Obs.Counter.add c_batch_failed (List.length failed);
+  Front.ok [ ("results", J.List results) ]
 
 (* id-addressed verbs (status/result/cancel): forward to the job's
    shard, translating ids both ways.  A dead shard triggers transparent
@@ -260,7 +221,7 @@ let handle_batch t items =
    sees the seam. *)
 let forward_job t id make_req =
   match Hashtbl.find_opt t.jobs id with
-  | None -> err (Printf.sprintf "unknown job %d" id)
+  | None -> Front.err (Printf.sprintf "unknown job %d" id)
   | Some job ->
     let rec forward () =
       match Hashtbl.find_opt t.shards job.shard with
@@ -277,7 +238,7 @@ let forward_job t id make_req =
     and reroute () =
       log t "job %d: shard %s is gone, resubmitting" id job.shard;
       match route_rpc t job.point (P.Submit job.payload) with
-      | Error e -> err e
+      | Error e -> Front.err e
       | Ok (name, resp) -> (
         match (J.member "ok" resp, J.member "id" resp) with
         | Some (J.Bool true), Some (J.Int remote_id) ->
@@ -289,21 +250,12 @@ let forward_job t id make_req =
     forward ()
 
 let handle_stats t =
-  let shard_stats =
-    List.map
-      (fun (name, _) ->
-        let sh = Hashtbl.find t.shards name in
-        let stats =
-          if not (Shard.alive sh) then err "shard is dead"
-          else
-            match Shard.request sh P.Stats with
-            | Ok resp -> resp
-            | Error e -> err e
-        in
-        (name, stats))
-      t.cfg.shards
+  let shard_stats (name, _) =
+    let sh = Hashtbl.find t.shards name in
+    if not (Shard.alive sh) then (name, Front.err "shard is dead")
+    else (name, match Shard.request sh P.Stats with Ok resp -> resp | Error e -> Front.err e)
   in
-  ok_fields
+  Front.ok
     [
       ( "ring",
         J.Obj
@@ -312,7 +264,7 @@ let handle_stats t =
               J.List (List.map (fun s -> J.String s) (Ring.shards t.ring)) );
             ("vnodes", J.Int (Ring.vnodes t.ring));
           ] );
-      ("shards", J.Obj shard_stats);
+      ("shards", J.Obj (List.map shard_stats t.cfg.shards));
       ("snapshot", Obs.json_of_snapshot (Obs.snapshot ()));
     ]
 
@@ -332,180 +284,64 @@ let handle_metrics t =
           | Some (J.String text) ->
             let labeled = Obs.Prometheus.add_label ~name:"shard" ~value:name text in
             List.iter
-              (fun line ->
-                if line <> "" && line.[0] <> '#' then begin
-                  Buffer.add_string buf line;
-                  Buffer.add_char buf '\n'
-                end)
+              (fun line -> if line <> "" && line.[0] <> '#' then Printf.bprintf buf "%s\n" line)
               (String.split_on_char '\n' labeled)
           | _ -> ())
         | Error e -> log t "metrics from shard %s failed: %s" name e)
     t.cfg.shards;
   Buffer.add_string buf (Obs.to_prometheus ~namespace:"topoguard" (Obs.snapshot ()));
-  ok_fields [ ("metrics", J.String (Buffer.contents buf)) ]
-
-let handle_shutdown t =
-  Hashtbl.iter
-    (fun _ sh -> if Shard.alive sh then ignore (Shard.request sh P.Shutdown))
-    t.shards;
-  Atomic.set t.draining true;
-  ok_fields [ ("draining", J.Bool true) ]
+  Front.ok [ ("metrics", J.String (Buffer.contents buf)) ]
 
 let handle_request t (req : P.request) =
   Obs.Counter.incr c_requests;
   match req with
   | P.Submit s ->
-    if Atomic.get t.draining then err "draining" else handle_submit t s
+    if Front.draining t.front then Front.err "draining" else handle_submit t s
   | P.Submit_batch items ->
-    if Atomic.get t.draining then err "draining" else handle_batch t items
+    if Front.draining t.front then Front.err "draining" else handle_batch t items
   | P.Status id -> forward_job t id (fun rid -> P.Status rid)
   | P.Result id -> forward_job t id (fun rid -> P.Result rid)
   | P.Cancel id -> forward_job t id (fun rid -> P.Cancel rid)
-  | P.Sync _ -> err "the coordinator holds no store; sync a shard directly"
+  | P.Sync _ -> Front.err "the coordinator holds no store; sync a shard directly"
   | P.Stats -> handle_stats t
   | P.Metrics -> handle_metrics t
-  | P.Shutdown -> handle_shutdown t
+  | P.Shutdown ->
+    (* the shards get the word as the drain tears down, below *)
+    Front.drain t.front;
+    Front.ok [ ("draining", J.Bool true) ]
 
-let handle_line t line =
-  let t0 = now () in
+(* the forwarded context carries the coordinator's own span id as the
+   new parent; the span and the access log name the routed shard *)
+let handle t ctx parsed =
   t.last_shard <- None;
-  t.fwd_trace <- None;
-  let rid, verb, ctx, resp =
-    match J.of_string line with
-    | Error e -> (None, "invalid", None, err ("bad json: " ^ e))
-    | Ok j -> (
-      let rid = P.request_id_of_json j in
-      let verb =
-        match J.member "op" j with Some (J.String s) -> s | _ -> "invalid"
-      in
-      (* a request without a trace context is minted one at the front
-         door (when tracing is on), so a whole fleet run correlates even
-         for v0 clients; either way the forwarded context carries the
-         coordinator's own span id as the new parent *)
-      let ctx =
-        match P.trace_of_json j with
-        | Some _ as c -> c
-        | None ->
-          if Obs.Trace.enabled () then Some (Obs.Trace.new_trace_id (), "")
-          else None
-      in
-      t.fwd_trace <-
-        Option.map (fun (id, _) -> (id, Obs.Trace.new_span_id ())) ctx;
-      match P.request_of_json j with
-      | Error e -> (rid, verb, ctx, err e)
-      | Ok req ->
-        ( rid,
-          verb,
-          ctx,
-          Obs.Trace.with_context ctx (fun () -> handle_request t req) ))
-  in
-  let rid =
-    match rid with
-    | Some r -> r
-    | None ->
-      let r = Printf.sprintf "c%d" t.next_rid in
-      t.next_rid <- t.next_rid + 1;
-      r
-  in
+  t.fwd_trace <- Option.map (fun (id, _) -> (id, Obs.Trace.new_span_id ())) ctx;
   let resp =
-    match resp with
-    | J.Obj fields ->
-      J.Obj
-        (fields @ [ ("request_id", J.String rid); ("v", J.Int P.version) ])
-    | other -> other
+    match parsed with Error e -> Front.err e | Ok req -> handle_request t req
   in
-  let latency = now () -. t0 in
-  Obs.Histogram.observe h_request latency;
-  Obs.Trace.with_context ctx (fun () ->
-      Obs.Trace.complete
-        ~args:
-          ([ ("verb", verb); ("request_id", rid) ]
-          @ (match t.last_shard with
-            | Some s -> [ ("shard", s) ]
-            | None -> [])
-          @
-          match t.fwd_trace with
-          | Some (_, span) -> [ ("span", span) ]
-          | None -> [])
-        ~ts:t0 ~dur:latency "cluster.request");
-  let outcome =
-    match resp with
-    | J.Obj fields -> (
-      match List.assoc_opt "ok" fields with
-      | Some (J.Bool true) -> "ok"
-      | _ -> "error")
-    | _ -> "error"
-  in
-  log_access t
-    ([
-       ("kind", J.String "request");
-       ("request_id", J.String rid);
-       ("verb", J.String verb);
-       ("outcome", J.String outcome);
-     ]
-    @ (match t.last_shard with
-      | Some s -> [ ("shard", J.String s) ]
-      | None -> [])
-    @ (match ctx with
-      | Some (trace_id, _) -> [ ("trace", J.String trace_id) ]
-      | None -> [])
-    @ [ ("latency_s", J.Float latency) ]);
-  resp
-
-(* ---- event loop (same shape as the shard server's, minus jobs) ---- *)
-
-exception Closed
-
-type conn = { fd : Unix.file_descr; mutable carry : string }
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go ofs =
-    if ofs < n then
-      match Unix.single_write fd b ofs (n - ofs) with
-      | w -> go (ofs + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ignore (Unix.select [] [ fd ] [] 1.0);
-        go ofs
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ofs
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        raise Closed
-  in
-  go 0
+  let shard = Option.to_list t.last_shard in
+  {
+    Front.resp;
+    span_args =
+      List.map (fun s -> ("shard", s)) shard
+      @ List.map (fun (_, span) -> ("span", span)) (Option.to_list t.fwd_trace);
+    log_fields =
+      List.map (fun s -> ("shard", J.String s)) shard
+      @ List.map (fun (id, _) -> ("trace", J.String id)) (Option.to_list ctx);
+  }
 
 let run (cfg : config) =
-  Obs.Clock.set Unix.gettimeofday;
-  Obs.set_enabled true;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let names = List.map fst cfg.shards in
   if List.length (List.sort_uniq String.compare names) <> List.length names
   then Error "duplicate shard names"
   else if names = [] then Error "a fleet needs at least one shard"
   else
-    match Serve.Transport.listen cfg.listen with
+    match
+      Front.open_ door ~endpoint:cfg.listen ~max_line:cfg.max_line
+        ~access_log:cfg.access_log ~trace:cfg.trace ~verbose:cfg.verbose
+        ~log_prefix:"[fleet] "
+    with
     | Error e -> Error e
-    | Ok listener -> (
-      Unix.set_nonblock listener;
-      let access_log =
-        match cfg.access_log with
-        | None -> Ok None
-        | Some path -> (
-          match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-          | oc -> Ok (Some oc)
-          | exception Sys_error e -> Error ("access log: " ^ e))
-      in
-      match access_log with
-      | Error e ->
-        (* refuse to route blind, like the shard server *)
-        (try Unix.close listener with Unix.Unix_error _ -> ());
-        Serve.Transport.cleanup cfg.listen;
-        Error e
-      | Ok access_log ->
-      if cfg.trace <> None then begin
-        Obs.Trace.set_pid (Unix.getpid ());
-        Obs.Trace.set_enabled true
-      end;
+    | Ok front ->
       let shards = Hashtbl.create (List.length cfg.shards) in
       List.iter
         (fun (name, ep) -> Hashtbl.replace shards name (Shard.make ~name ep))
@@ -517,109 +353,21 @@ let run (cfg : config) =
           shards;
           jobs = Hashtbl.create 256;
           next_id = 1;
-          next_rid = 1;
-          draining = Atomic.make false;
-          access_log;
+          front;
           fwd_trace = None;
           last_shard = None;
         }
       in
-      let prev_term =
-        Sys.signal Sys.sigterm
-          (Sys.Signal_handle (fun _ -> Atomic.set t.draining true))
-      in
       log t "coordinator on %s routing to %d shard(s)"
         (Serve.Transport.endpoint_to_string cfg.listen)
         (List.length names);
-      let conns = ref [] in
-      let close_conn c =
-        (try Unix.close c.fd with Unix.Unix_error _ -> ());
-        conns := List.filter (fun c' -> c' != c) !conns
-      in
-      let feed conn chunk =
-        (* oversized lines (complete or accumulating) close the
-           connection, as in the shard server *)
-        let oversized conn =
-          write_all conn.fd
-            (J.to_string
-               (err (Printf.sprintf "line exceeds %d bytes" cfg.max_line))
-            ^ "\n");
-          raise Closed
-        in
-        let data = conn.carry ^ chunk in
-        let lines = String.split_on_char '\n' data in
-        let rec go = function
-          | [] -> conn.carry <- ""
-          | [ last ] ->
-            if String.length last > cfg.max_line then oversized conn
-            else conn.carry <- last
-          | line :: rest ->
-            if String.length line > cfg.max_line then oversized conn;
-            (if String.trim line <> "" then
-               let resp = handle_line t line in
-               write_all conn.fd (J.to_string resp ^ "\n"));
-            go rest
-        in
-        go lines
-      in
-      let read_conn conn =
-        let buf = Bytes.create 65536 in
-        match Unix.read conn.fd buf 0 (Bytes.length buf) with
-        | 0 -> close_conn conn
-        | n -> (
-          match feed conn (Bytes.sub_string buf 0 n) with
-          | () -> ()
-          | exception Closed -> close_conn conn)
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-          ->
-          ()
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-          close_conn conn
-      in
-      while not (Atomic.get t.draining) do
-        let read_fds = listener :: List.map (fun c -> c.fd) !conns in
-        let readable, _, _ =
-          match Unix.select read_fds [] [] 0.05 with
-          | r -> r
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-        in
-        if List.mem listener readable then begin
-          let continue = ref true in
-          while !continue do
-            match Unix.accept listener with
-            | fd, _ ->
-              Unix.set_nonblock fd;
-              conns := { fd; carry = "" } :: !conns
-            | exception
-                Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-              continue := false
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          done
-        end;
-        List.iter
-          (fun conn -> if List.mem conn.fd readable then read_conn conn)
-          !conns
-      done;
-      (* drain: make sure every shard got the word (a SIGTERM sets the
-         flag without passing through handle_shutdown), then tear down *)
+      Front.serve front ~handle:(handle t) ();
+      (* drain: the shutdown verb and SIGTERM both end up here *)
       Hashtbl.iter
         (fun _ sh ->
           if Shard.alive sh then ignore (Shard.request sh P.Shutdown);
           Shard.close sh)
         t.shards;
       log t "draining: %d job(s) routed" (t.next_id - 1);
-      List.iter
-        (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ())
-        !conns;
-      (try Unix.close listener with Unix.Unix_error _ -> ());
-      Serve.Transport.cleanup cfg.listen;
-      (match cfg.trace with
-      | Some path ->
-        Obs.Trace.set_enabled false;
-        Obs.Trace.write_file path;
-        log t "trace written to %s" path
-      | None -> ());
-      (match t.access_log with Some oc -> close_out oc | None -> ());
-      Sys.set_signal Sys.sigterm prev_term;
-      Ok ())
+      Front.close front;
+      Ok ()

@@ -143,13 +143,12 @@ let run cfg =
       reap ~timeout:5. pids;
       Error e
     | Ok () ->
+      let shards = List.map (fun i -> (shard_name i, shard_endpoint cfg i)) idx in
       let coord =
         {
-          Coordinator.listen = cfg.listen;
-          shards = List.map (fun i -> (shard_name i, shard_endpoint cfg i)) idx;
+          (Coordinator.default_config ~listen:cfg.listen ~shards) with
           vnodes = cfg.vnodes;
           verbose = cfg.verbose;
-          max_line = Serve.Protocol.Frame.default_max_line;
           access_log = cfg.access_log;
           trace = cfg.trace;
         }

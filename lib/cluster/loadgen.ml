@@ -91,17 +91,13 @@ let pick cfg k =
 
 (* ---- metrics scraping ---- *)
 
-let starts_with prefix s =
-  String.length s >= String.length prefix
-  && String.sub s 0 (String.length prefix) = prefix
-
 (* total queue depth in one Prometheus exposition: the plain gauge of a
    single server, or the sum of the per-shard relabeled gauges of a
    coordinator scrape *)
 let queue_depth_of_metrics text =
   List.fold_left
     (fun acc line ->
-      if starts_with "topoguard_queue_depth" line then
+      if String.starts_with ~prefix:"topoguard_queue_depth" line then
         match String.rindex_opt line ' ' with
         | Some sp -> (
           let v = String.sub line (sp + 1) (String.length line - sp - 1) in
@@ -133,12 +129,6 @@ let per_shard_of_stats resp =
 
 (* ---- the drive loop ---- *)
 
-let retry_after_of resp =
-  match J.member "retry_after" resp with
-  | Some (J.Float s) when s > 0. -> Some s
-  | Some (J.Int s) when s > 0 -> Some (float_of_int s)
-  | _ -> None
-
 (* submit, honouring queue-full rejections until [deadline] *)
 let rec submit_once conn s ~trace ~deadline =
   let t0 = Unix.gettimeofday () in
@@ -149,7 +139,7 @@ let rec submit_once conn s ~trace ~deadline =
     match J.member "ok" resp with
     | Some (J.Bool true) -> `Accepted resp
     | _ -> (
-      match retry_after_of resp with
+      match Serve.Client.retry_after_of resp with
       | Some after when Unix.gettimeofday () +. after <= deadline ->
         Obs.Counter.incr c_retries;
         Unix.sleepf after;
@@ -314,7 +304,7 @@ let run cfg =
         latency =
           List.filter
             (fun (name, _) ->
-              starts_with "loadgen." name
+              String.starts_with ~prefix:"loadgen." name
               || name = "client.await.backoff.seconds")
             window.Obs.histograms;
         samples;

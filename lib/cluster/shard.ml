@@ -46,33 +46,21 @@ let connection t =
     | Error e -> Error e)
 
 let rpc t json =
+  let call () = Result.bind (connection t) (fun c -> Serve.Client.rpc c json) in
+  let had_conn = t.conn <> None in
+  let dead e =
+    mark_dead t;
+    Error e
+  in
   if not t.alive then Error (t.name ^ ": shard is dead")
-  else begin
-    let had_conn = t.conn <> None in
-    match connection t with
-    | Error e ->
-      mark_dead t;
-      Error e
-    | Ok c -> (
-      match Serve.Client.rpc c json with
-      | Ok resp -> Ok resp
-      | Error _ when had_conn -> (
-        (* stale connection (shard restarted?): one fresh dial *)
-        drop_conn t;
-        match connection t with
-        | Error e ->
-          mark_dead t;
-          Error e
-        | Ok c -> (
-          match Serve.Client.rpc c json with
-          | Ok resp -> Ok resp
-          | Error e ->
-            mark_dead t;
-            Error e))
-      | Error e ->
-        mark_dead t;
-        Error e)
-  end
+  else
+    match call () with
+    | Ok _ as ok -> ok
+    | Error _ when had_conn -> (
+      (* stale connection (shard restarted?): one fresh dial *)
+      drop_conn t;
+      match call () with Ok _ as ok -> ok | Error e -> dead e)
+    | Error e -> dead e
 
 let request ?trace t req =
   rpc t (Serve.Protocol.with_trace trace (Serve.Protocol.json_of_request req))

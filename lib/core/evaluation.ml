@@ -207,7 +207,7 @@ let opf_model_run ~tightness spec =
   let grid = spec.Grid.Spec.grid in
   let size = grid.N.n_buses in
   let topo = Grid.Topology.make grid in
-  match Opf.Opf_auto.solve (Grid.Topology.make grid) with
+  match Opf.Float_opf.solve (Grid.Topology.make grid) with
   | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded ->
     {
       label = "opf-model";
@@ -273,7 +273,7 @@ let memory_table_row (spec : Grid.Spec.t) =
     let attack_mb = (Gc.allocated_bytes () -. a0) /. 1.0e6 in
     (* OPF model *)
     let grid = spec.Grid.Spec.grid in
-    match Opf.Opf_auto.solve (Grid.Topology.make grid) with
+    match Opf.Float_opf.solve (Grid.Topology.make grid) with
     | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> Error "base infeasible"
     | Opf.Dc_opf.Dispatch d ->
       let b0 = Gc.allocated_bytes () in

@@ -158,7 +158,7 @@ let exact_verdict backend grid (vec : Attack.Vector.t) =
   let loads = vec.Attack.Vector.est_loads in
   let solve =
     match backend with
-    | Fast_factors -> Opf.Opf_auto.solve_factors
+    | Fast_factors -> Opf.Float_opf.solve
     | Lp_exact | Smt_bounded -> Opf.Dc_opf.solve
   in
   match solve ~loads topo with
@@ -208,7 +208,7 @@ let verify_impact config grid (vec : Attack.Vector.t) ~threshold =
    formulation for the LP/SMT backends, shift factors for Fast_factors *)
 let base_opf backend grid =
   match backend with
-  | Fast_factors -> Opf.Opf_auto.solve_factors (Grid.Topology.make grid)
+  | Fast_factors -> Opf.Float_opf.solve (Grid.Topology.make grid)
   | Lp_exact | Smt_bounded -> Opf.Dc_opf.base_case grid
 
 (* closed-form enumeration of single-line attacks (the paper's LODF-era
@@ -648,7 +648,7 @@ let max_achievable_increase ?(config = default_config)
         let topo = Grid.Topology.make ~mapped:vec.Attack.Vector.mapped grid in
         let solve =
           match config.backend with
-          | Fast_factors -> Opf.Opf_auto.solve_factors
+          | Fast_factors -> Opf.Float_opf.solve
           | Lp_exact | Smt_bounded -> Opf.Dc_opf.solve
         in
         (match solve ~loads:vec.Attack.Vector.est_loads topo with

@@ -246,6 +246,11 @@ let quantile (h : hist_entry) q =
       | (le, n) :: rest ->
         let cum' = cum + n in
         if float_of_int cum' < rank then go cum' rest
+        else if le = Histogram.bounds.(0) then
+          (* bucket 0 holds everything down to the minimum (zeros,
+             negatives) and is narrower than the 1e-6 resolution of
+             min/max: report its lower bound, the minimum itself *)
+          Some (clamp minv)
         else if Float.is_finite le then begin
           (* interpolate inside the log2 bucket (lower bound = le/2) *)
           let lower = Float.min le (Float.max minv (le /. 2.0)) in

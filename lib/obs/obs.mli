@@ -141,7 +141,9 @@ end
 val quantile : hist_entry -> float -> float option
 (** Estimated q-quantile (q in [0,1]), by linear interpolation inside the
     log2 bucket holding the target rank, clamped to the observed
-    [min,max].  [None] on an empty histogram. *)
+    [min,max].  A rank in the first bucket (values up to 2^-20, zeros
+    included) reads as the observed minimum.  [None] on an empty
+    histogram. *)
 
 (** Minimal JSON tree, emitter and parser — enough to serialise snapshots
     and to validate emitted files without third-party dependencies. *)

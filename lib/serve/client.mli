@@ -39,6 +39,9 @@ val submit_batch :
 (** One [submit_batch] round trip; the response's ["results"] list
     carries a per-item submit response in submission order. *)
 
+val retry_after_of : Obs.Json.t -> float option
+(** The positive ["retry_after"] seconds of a rejection, if any. *)
+
 val submit_retry :
   ?trace:string * string ->
   t -> Protocol.submit -> ?timeout:float -> unit -> (Obs.Json.t, string) result

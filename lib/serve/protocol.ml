@@ -16,54 +16,101 @@ module Frame = struct
   (* generous: a submit_batch line carries whole grid files for every
      item, and a sync response carries a shard's journal slice *)
   let default_max_line = 64 * 1024 * 1024
+  let chunk_size = 65536
+
+  (* Pending bytes live in [data.[start .. len)]; no byte of
+     [data.[start .. scanned)] is a newline, so each byte is scanned
+     once however many chunks a long line arrives in.  Consumed lines
+     only advance [start]; the unconsumed tail moves to the front when
+     the next chunk needs the room. *)
+  type splitter = {
+    max_line : int;
+    mutable data : Bytes.t;
+    mutable start : int;
+    mutable scanned : int;
+    mutable len : int;
+  }
+
+  let splitter ?(max_line = default_max_line) () =
+    { max_line; data = Bytes.create 4096; start = 0; scanned = 0; len = 0 }
+
+  let feed s chunk ofs n =
+    if s.len + n > Bytes.length s.data then begin
+      let live = s.len - s.start in
+      let data =
+        if live + n <= Bytes.length s.data then s.data
+        else Bytes.create (max (live + n) (2 * Bytes.length s.data))
+      in
+      Bytes.blit s.data s.start data 0 live;
+      s.data <- data;
+      s.scanned <- s.scanned - s.start;
+      s.start <- 0;
+      s.len <- live
+    end;
+    Bytes.blit chunk ofs s.data s.len n;
+    s.len <- s.len + n
+
+  let next s =
+    let rec scan i =
+      if i >= s.len then None
+      else if Bytes.unsafe_get s.data i = '\n' then Some i
+      else scan (i + 1)
+    in
+    match scan s.scanned with
+    | Some nl ->
+      let line_len = nl - s.start in
+      if line_len > s.max_line then `Oversized
+      else begin
+        let line = Bytes.sub_string s.data s.start line_len in
+        if nl + 1 = s.len then begin
+          s.start <- 0;
+          s.len <- 0;
+          (* an idle connection need not keep the room a huge line took *)
+          if Bytes.length s.data > 16 * chunk_size then s.data <- Bytes.create 4096
+        end
+        else s.start <- nl + 1;
+        s.scanned <- s.start;
+        `Line line
+      end
+    | None ->
+      s.scanned <- s.len;
+      if s.len - s.start > s.max_line then `Oversized else `Partial
 
   type reader = {
     fd : Unix.file_descr;
-    max_line : int;
-    buf : Buffer.t;
+    split : splitter;
     chunk : Bytes.t;
     mutable eof : bool;
   }
 
-  let reader ?(max_line = default_max_line) fd =
-    { fd; max_line; buf = Buffer.create 4096; chunk = Bytes.create 65536; eof = false }
+  let reader ?max_line fd =
+    { fd; split = splitter ?max_line (); chunk = Bytes.create chunk_size; eof = false }
 
   (* blocking: read until one full line, EOF, or the cap is exceeded.
      After [`Oversized] the stream is out of sync — callers must close. *)
   let read_line r =
-    let take_line () =
-      let data = Buffer.contents r.buf in
-      match String.index_opt data '\n' with
-      | None -> None
-      | Some nl ->
-        Buffer.clear r.buf;
-        Buffer.add_string r.buf
-          (String.sub data (nl + 1) (String.length data - nl - 1));
-        Some (String.sub data 0 nl)
-    in
     let rec go () =
-      match take_line () with
-      | Some line -> `Line line
-      | None ->
-        if Buffer.length r.buf > r.max_line then `Oversized
-        else if r.eof then `Eof
-        else (
-          match Unix.read r.fd r.chunk 0 (Bytes.length r.chunk) with
-          | 0 ->
-            r.eof <- true;
-            `Eof
-          | n ->
-            Buffer.add_subbytes r.buf r.chunk 0 n;
-            go ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            r.eof <- true;
-            `Eof)
+      match next r.split with
+      | (`Line _ | `Oversized) as v -> v
+      | `Partial when r.eof -> `Eof
+      | `Partial -> (
+        match Unix.read r.fd r.chunk 0 chunk_size with
+        | 0 ->
+          r.eof <- true;
+          `Eof
+        | n ->
+          feed r.split r.chunk 0 n;
+          go ()
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+          r.eof <- true;
+          `Eof)
     in
     go ()
 
   let write_line fd s =
-    let b = Bytes.of_string (s ^ "\n") in
+    (* one buffer, so a response never leaves as two TCP segments *)
+    let b = Bytes.unsafe_of_string (s ^ "\n") in
     let n = Bytes.length b in
     let rec go ofs =
       if ofs < n then
@@ -148,23 +195,16 @@ let json_of_request = function
   | Metrics -> with_op "metrics" []
   | Shutdown -> with_op "shutdown" []
 
-let str_field ?default name j =
-  match J.member name j with
-  | Some (J.String s) -> Ok s
-  | Some _ -> Error (Printf.sprintf "field %S must be a string" name)
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "missing field %S" name))
+let field kind of_json ?default name j =
+  match (J.member name j, default) with
+  | Some v, _ ->
+    Option.to_result (of_json v)
+      ~none:(Printf.sprintf "field %S must be %s" name kind)
+  | None, Some d -> Ok d
+  | None, None -> Error (Printf.sprintf "missing field %S" name)
 
-let int_field ?default name j =
-  match J.member name j with
-  | Some (J.Int n) -> Ok n
-  | Some _ -> Error (Printf.sprintf "field %S must be an integer" name)
-  | None -> (
-    match default with
-    | Some d -> Ok d
-    | None -> Error (Printf.sprintf "missing field %S" name))
+let str_field = field "a string" (function J.String s -> Some s | _ -> None)
+let int_field = field "an integer" (function J.Int n -> Some n | _ -> None)
 
 let ( let* ) = Result.bind
 

@@ -13,25 +13,41 @@
 val version : int
 (** The protocol version this build speaks (1). *)
 
-(** Transport-agnostic line framing: blocking reads with a cap on line
-    length, so a malformed or hostile peer cannot balloon the receive
-    buffer.  The non-blocking server event loop enforces the same cap on
-    its own carry buffer; this module is the client/coordinator side. *)
+(** Transport-agnostic line framing with a cap on line length, so a
+    malformed or hostile peer cannot balloon the receive buffer.  The
+    one {!splitter} frames every stream — the non-blocking {!Front}
+    door feeds it each read, the blocking {!read_line} is built on it —
+    and {!write_line} is the one writer. *)
 module Frame : sig
   val default_max_line : int
   (** 64 MiB — a [submit_batch] line carries whole grid files per item,
       and a [sync] response a shard's journal slice. *)
+
+  type splitter
+  (** Pending bytes of one stream, each scanned for a newline once. *)
+
+  val splitter : ?max_line:int -> unit -> splitter
+
+  val feed : splitter -> Bytes.t -> int -> int -> unit
+  (** [feed s buf ofs n] appends [n] bytes of [buf] from [ofs]. *)
+
+  val next : splitter -> [ `Line of string | `Partial | `Oversized ]
+  (** The next complete line (without its newline), [`Partial] when the
+      pending bytes end mid-line, or [`Oversized] when the next line —
+      complete or still accumulating — exceeds [max_line] bytes.  After
+      [`Oversized] the stream is desynchronised and must be closed. *)
 
   type reader
 
   val reader : ?max_line:int -> Unix.file_descr -> reader
 
   val read_line : reader -> [ `Line of string | `Eof | `Oversized ]
-  (** Blocking.  After [`Oversized] the stream is desynchronised and
-      must be closed. *)
+  (** Blocking {!next} over a file descriptor; a partial line at EOF is
+      dropped. *)
 
   val write_line : Unix.file_descr -> string -> unit
-  (** Write [s ^ "\n"], retrying partial writes. *)
+  (** Write [s ^ "\n"], retrying partial writes and waiting out [EAGAIN];
+      a closed peer raises [Unix.Unix_error]. *)
 end
 
 type submit = {

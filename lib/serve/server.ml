@@ -57,8 +57,6 @@ let c_cancelled = Obs.Counter.make "serve.jobs.cancelled"
 (* a gauge maintained as +1/-1 updates of an atomic counter, so the queue
    depth shows up in the same snapshot as everything else *)
 let c_depth = Obs.Counter.make "serve.queue.depth"
-let t_wait = Obs.Timer.make "serve.job.wait"
-let t_run = Obs.Timer.make "serve.job.run"
 
 (* jobs that reached ANY terminal state (done, failed, timeout,
    cancelled — and cache hits, which are born terminal).  Incremented at
@@ -70,10 +68,9 @@ let c_completed = Obs.Counter.make "serve.jobs.completed"
 let c_batch_items = Obs.Counter.make "serve.batch.items"
 let c_sync_served = Obs.Counter.make "serve.sync.entries_served"
 let c_sync_pulled = Obs.Counter.make "serve.sync.entries_pulled"
-let c_oversized = Obs.Counter.make "serve.requests.oversized"
 let h_wait = Obs.Histogram.make "serve.job.wait_seconds"
 let h_service = Obs.Histogram.make "serve.job.service_seconds"
-let h_request = Obs.Histogram.make "serve.request.seconds"
+let door = Front.door ~name:"serve" ~rid_prefix:"r" ()
 
 (* ---- job records ---- *)
 
@@ -138,6 +135,8 @@ let base_state_of (spec : Grid.Spec.t) kind =
 
 let qs v = Q.to_decimal_string ~digits:6 v
 
+let one_based l = J.List (List.map (fun i -> J.Int (i + 1)) l)
+
 let json_of_outcome (outcome : I.outcome) =
   match outcome with
   | I.Attack_found s ->
@@ -152,14 +151,10 @@ let json_of_outcome (outcome : I.outcome) =
           match s.I.poisoned_cost with
           | Some c -> J.String (qs c)
           | None -> J.Null );
-        ( "excluded",
-          J.List (List.map (fun i -> J.Int (i + 1)) v.Attack.Vector.excluded) );
-        ( "included",
-          J.List (List.map (fun i -> J.Int (i + 1)) v.Attack.Vector.included) );
-        ( "altered",
-          J.List (List.map (fun i -> J.Int (i + 1)) v.Attack.Vector.altered) );
-        ( "buses",
-          J.List (List.map (fun i -> J.Int (i + 1)) v.Attack.Vector.buses) );
+        ("excluded", one_based v.Attack.Vector.excluded);
+        ("included", one_based v.Attack.Vector.included);
+        ("altered", one_based v.Attack.Vector.altered);
+        ("buses", one_based v.Attack.Vector.buses);
       ]
   | I.No_attack { candidates } ->
     J.Obj
@@ -205,37 +200,6 @@ let execute ~store (job : job) =
   in
   json_of_outcome (I.analyze ~config ~scenario:spec ~base ())
 
-(* ---- connection plumbing ---- *)
-
-exception Closed
-
-type conn = { fd : Unix.file_descr; mutable carry : string }
-
-let write_all fd s =
-  let b = Bytes.of_string s in
-  let n = Bytes.length b in
-  let rec go ofs =
-    if ofs < n then
-      match Unix.single_write fd b ofs (n - ofs) with
-      | w -> go (ofs + w)
-      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-        ignore (Unix.select [] [ fd ] [] 1.0);
-        go ofs
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ofs
-      | exception Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) ->
-        raise Closed
-  in
-  go 0
-
-let ok_fields fields = J.Obj (("ok", J.Bool true) :: fields)
-let err ?retry_after msg =
-  J.Obj
-    ([ ("ok", J.Bool false); ("error", J.String msg) ]
-    @
-    match retry_after with
-    | Some s -> [ ("retry_after", J.Float s) ]
-    | None -> [])
-
 (* ---- the server ---- *)
 
 type t = {
@@ -248,30 +212,12 @@ type t = {
       (* ids of finished jobs, oldest first; bounds jobs_tbl *)
   mutable running : int list;
   mutable next_id : int;
-  mutable next_rid : int;
-  mutable conns : conn list;
-  mutable listener : Unix.file_descr option;
-  draining : bool Atomic.t;
+  front : Front.t;
   started_at : float;
-  access_log : out_channel option;
 }
 
-let log t fmt =
-  if t.cfg.verbose then
-    Printf.ksprintf (fun s -> Printf.eprintf "topoguard-serve: %s\n%!" s) fmt
-  else Printf.ksprintf ignore fmt
-
+let log t fmt = Front.log t.front fmt
 let now () = Obs.Clock.now ()
-
-(* one JSON object per line; kind "request" for protocol traffic, kind
-   "job" when a job reaches a terminal state *)
-let log_access t fields =
-  match t.access_log with
-  | None -> ()
-  | Some oc ->
-    output_string oc (J.to_string (J.Obj (("ts", J.Float (now ())) :: fields)));
-    output_char oc '\n';
-    flush oc
 
 (* terminal jobs stay queryable by id for a while, but a resident server
    must not grow without bound: only the newest cfg.max_terminal_jobs are
@@ -292,7 +238,7 @@ let job_terminal t (job : job) ~wait ~service =
   Obs.Histogram.observe h_service service;
   Obs.Counter.incr c_completed;
   remember_terminal t job.id;
-  log_access t
+  Front.log_access t.front
     [
       ("kind", J.String "job");
       ("id", J.Int job.id);
@@ -323,10 +269,10 @@ let job_status_json (j : job) =
   | _ -> base
 
 let handle_submit t (s : Protocol.submit) =
-  if Atomic.get t.draining then err "draining"
+  if Front.draining t.front then Front.err "draining"
   else
     match Grid.Spec.parse s.Protocol.grid with
-    | Error e -> err ("parse: " ^ e)
+    | Error e -> Front.err ("parse: " ^ e)
     | Ok spec -> (
       let key = Protocol.job_key spec s in
       let timeout =
@@ -349,12 +295,10 @@ let handle_submit t (s : Protocol.submit) =
             log t "dropped corrupt cache entry (key %s)" key;
             None)
       in
-      match cached with
-      | Some result ->
-        (* answered entirely from the store: no queue slot, no solver *)
-        Obs.Counter.incr c_cache_hits;
+      let add_job state result =
         let id = t.next_id in
         t.next_id <- id + 1;
+        let submitted_at = now () in
         let job =
           {
             id;
@@ -362,10 +306,10 @@ let handle_submit t (s : Protocol.submit) =
             submit = s;
             spec;
             timeout;
-            submitted_at = now ();
-            started_at = now ();
-            state = Done;
-            result = Some result;
+            submitted_at;
+            started_at = (if state = Done then submitted_at else 0.);
+            state;
+            result;
             cancel = Atomic.make false;
             deadline = Atomic.make infinity;
             future = None;
@@ -373,58 +317,46 @@ let handle_submit t (s : Protocol.submit) =
           }
         in
         Hashtbl.replace t.jobs_tbl id job;
+        job
+      in
+      let accepted job =
+        Front.ok
+          [
+            ("id", J.Int job.id);
+            ("status", J.String (state_string job.state));
+            ("cached", J.Bool (job.state = Done));
+            ("key", J.String key);
+          ]
+      in
+      match cached with
+      | Some result ->
+        (* answered entirely from the store: no queue slot, no solver *)
+        Obs.Counter.incr c_cache_hits;
+        let job = add_job Done (Some result) in
         Obs.Counter.incr c_done;
         (* born terminal: it never waited and never ran *)
         job_terminal t job ~wait:0. ~service:0.;
-        ok_fields
-          [
-            ("id", J.Int id);
-            ("status", J.String "done");
-            ("cached", J.Bool true);
-            ("key", J.String key);
-          ]
+        accepted job
       | None ->
         if queue_depth t >= t.cfg.queue_capacity then begin
           Obs.Counter.incr c_rejected;
-          err ~retry_after:1.0 "queue_full"
+          Front.err ~retry_after:1.0 "queue_full"
         end
         else begin
-          let id = t.next_id in
-          t.next_id <- id + 1;
-          let job =
-            {
-              id;
-              key;
-              submit = s;
-              spec;
-              timeout;
-              submitted_at = now ();
-              started_at = 0.;
-              state = Queued;
-              result = None;
-              cancel = Atomic.make false;
-              deadline = Atomic.make infinity;
-              future = None;
-              trace = Obs.Trace.get_context ();
-            }
-          in
-          Hashtbl.replace t.jobs_tbl id job;
-          Queue.push id t.pending;
+          let job = add_job Queued None in
+          Queue.push job.id t.pending;
           Obs.Counter.add c_depth 1;
-          log t "job %d queued (key %s)" id key;
-          ok_fields
-            [
-              ("id", J.Int id);
-              ("status", J.String "queued");
-              ("cached", J.Bool false);
-              ("key", J.String key);
-            ]
+          log t "job %d queued (key %s)" job.id key;
+          accepted job
         end)
 
-let handle_cancel t id =
+let with_job t id f =
   match Hashtbl.find_opt t.jobs_tbl id with
-  | None -> err (Printf.sprintf "unknown job %d" id)
-  | Some job -> (
+  | None -> Front.err (Printf.sprintf "unknown job %d" id)
+  | Some job -> f job
+
+let handle_cancel t id =
+  with_job t id @@ fun job ->
     match job.state with
     | Queued ->
       job.state <- Cancelled;
@@ -432,25 +364,23 @@ let handle_cancel t id =
       Obs.Counter.add c_depth (-1);
       job_terminal t job ~wait:(now () -. job.submitted_at) ~service:0.;
       log t "job %d cancelled while queued" id;
-      ok_fields (job_status_json job)
+      Front.ok (job_status_json job)
     | Running ->
       (* cooperative: the worker observes the flag at its next probe *)
       Atomic.set job.cancel true;
-      ok_fields (job_status_json job)
-    | Done | Failed _ | Cancelled | Timed_out -> ok_fields (job_status_json job))
+      Front.ok (job_status_json job)
+    | Done | Failed _ | Cancelled | Timed_out -> Front.ok (job_status_json job)
 
 let handle_result t id =
-  match Hashtbl.find_opt t.jobs_tbl id with
-  | None -> err (Printf.sprintf "unknown job %d" id)
-  | Some job -> (
+  with_job t id @@ fun job ->
     match (job.state, job.result) with
-    | Done, Some result -> ok_fields (job_status_json job @ [ ("result", result) ])
-    | Done, None -> err "result missing"
+    | Done, Some result -> Front.ok (job_status_json job @ [ ("result", result) ])
+    | Done, None -> Front.err "result missing"
     | (Queued | Running | Failed _ | Cancelled | Timed_out), _ ->
-      ok_fields (job_status_json job))
+      Front.ok (job_status_json job)
 
 let stats_json t =
-  ok_fields
+  Front.ok
     [
       ( "queue",
         J.Obj
@@ -534,8 +464,7 @@ let handle_sync t ranges =
         List.exists (fun (lo, hi) -> lo <= p && p <= hi) ranges)
   in
   let wanted key =
-    (String.length key >= 4 && String.sub key 0 4 = "job:")
-    || (String.length key >= 7 && String.sub key 0 7 = "verify:")
+    String.starts_with ~prefix:"job:" key || String.starts_with ~prefix:"verify:" key
   in
   let entries =
     Store.Cache.fold t.store ~init:[] ~f:(fun acc ~key ~value ->
@@ -544,7 +473,7 @@ let handle_sync t ranges =
         else acc)
   in
   Obs.Counter.add c_sync_served (List.length entries);
-  ok_fields [ ("entries", J.List (List.rev entries)) ]
+  Front.ok [ ("entries", J.List (List.rev entries)) ]
 
 let handle_request t (req : Protocol.request) =
   Obs.Counter.incr c_requests;
@@ -555,85 +484,25 @@ let handle_request t (req : Protocol.request) =
        response (id/cached or error) in submission order; the batch
        itself only fails on transport problems *)
     Obs.Counter.add c_batch_items (List.length items);
-    ok_fields
+    Front.ok
       [ ("results", J.List (List.map (fun s -> handle_submit t s) items)) ]
   | Protocol.Sync ranges -> handle_sync t ranges
-  | Protocol.Status id -> (
-    match Hashtbl.find_opt t.jobs_tbl id with
-    | None -> err (Printf.sprintf "unknown job %d" id)
-    | Some job -> ok_fields (job_status_json job))
+  | Protocol.Status id -> with_job t id (fun job -> Front.ok (job_status_json job))
   | Protocol.Result id -> handle_result t id
   | Protocol.Cancel id -> handle_cancel t id
   | Protocol.Stats -> stats_json t
-  | Protocol.Metrics -> ok_fields [ ("metrics", J.String (metrics_text t)) ]
+  | Protocol.Metrics -> Front.ok [ ("metrics", J.String (metrics_text t)) ]
   | Protocol.Shutdown ->
-    Atomic.set t.draining true;
-    ok_fields [ ("draining", J.Bool true) ]
+    Front.drain t.front;
+    Front.ok [ ("draining", J.Bool true) ]
 
-let handle_line t line =
-  let t0 = now () in
-  let rid, verb, ctx, resp =
-    match J.of_string line with
-    | Error e -> (None, "invalid", None, err ("bad json: " ^ e))
-    | Ok j -> (
-      let rid = Protocol.request_id_of_json j in
-      (* the request's trace context is installed for the whole handling
-         (so the serve.request span, and the job record a submit
-         creates, both carry the originating trace id) *)
-      let ctx = Protocol.trace_of_json j in
-      let verb =
-        match J.member "op" j with Some (J.String s) -> s | _ -> "invalid"
-      in
-      match Protocol.request_of_json j with
-      | Error e -> (rid, verb, ctx, err e)
-      | Ok req ->
-        (rid, verb, ctx,
-         Obs.Trace.with_context ctx (fun () -> handle_request t req)))
-  in
-  (* every response carries a request id: the client's, echoed verbatim,
-     or a server-generated one — either way the access log and the
-     response can be joined on it *)
-  let rid =
-    match rid with
-    | Some r -> r
-    | None ->
-      let r = Printf.sprintf "r%d" t.next_rid in
-      t.next_rid <- t.next_rid + 1;
-      r
-  in
+(* the access log's request line names the job a response is about *)
+let handle t _ctx parsed =
   let resp =
-    match resp with
-    | J.Obj fields ->
-      J.Obj
-        (fields
-        @ [ ("request_id", J.String rid); ("v", J.Int Protocol.version) ])
-    | other -> other
+    match parsed with Error e -> Front.err e | Ok req -> handle_request t req
   in
-  let latency = now () -. t0 in
-  Obs.Histogram.observe h_request latency;
-  Obs.Trace.with_context ctx (fun () ->
-      Obs.Trace.complete
-        ~args:[ ("verb", verb); ("request_id", rid) ]
-        ~ts:t0 ~dur:latency "serve.request");
-  let resp_field name =
-    match resp with J.Obj fields -> List.assoc_opt name fields | _ -> None
-  in
-  let outcome =
-    match resp_field "ok" with Some (J.Bool true) -> "ok" | _ -> "error"
-  in
-  let opt name =
-    match resp_field name with Some v -> [ (name, v) ] | None -> []
-  in
-  log_access t
-    ([
-       ("kind", J.String "request");
-       ("request_id", J.String rid);
-       ("verb", J.String verb);
-       ("outcome", J.String outcome);
-     ]
-    @ opt "id" @ opt "key" @ opt "cached"
-    @ [ ("latency_s", J.Float latency) ]);
-  resp
+  let opt name = match J.member name resp with Some v -> [ (name, v) ] | None -> [] in
+  { (Front.reply resp) with Front.log_fields = opt "id" @ opt "key" @ opt "cached" }
 
 (* ---- scheduling ---- *)
 
@@ -649,7 +518,6 @@ let start_ready_jobs t =
       job.started_at <- now ();
       Atomic.set job.deadline (job.started_at +. job.timeout);
       let wait = job.started_at -. job.submitted_at in
-      Obs.Timer.add_seconds t_wait wait;
       (* queue waits of different jobs overlap freely, so this cannot be
          a nested B/E span — emit a complete event instead *)
       Obs.Trace.complete
@@ -688,7 +556,6 @@ let reap_finished t =
           | `Done | `Failed ->
             job.future <- None;
             let service = now () -. job.started_at in
-            Obs.Timer.add_seconds t_run service;
             (match Pool.Future.await fut with
             | result ->
               job.state <- Done;
@@ -724,209 +591,64 @@ let reap_finished t =
    inserts them (journaling them locally, so the next restart needs no
    peers).  Peer failures are logged and skipped — a missing peer only
    costs cache warmth, never startup. *)
-let warm_from_peers ~log store cfg =
+let warm_from_peers t =
   List.iter
     (fun peer ->
       let peer_name = Transport.endpoint_to_string peer in
       match Client.connect_endpoint peer with
-      | Error e -> log (Printf.sprintf "sync peer %s: %s" peer_name e)
+      | Error e -> log t "sync peer %s: %s" peer_name e
       | Ok c ->
-        (match Client.sync c ~ranges:cfg.sync_ranges with
-        | Error e ->
-          log (Printf.sprintf "sync pull from %s failed: %s" peer_name e)
+        (match Client.sync c ~ranges:t.cfg.sync_ranges with
+        | Error e -> log t "sync pull from %s failed: %s" peer_name e
         | Ok entries ->
-          List.iter
-            (fun (key, value) -> Store.Cache.add store ~key ~value)
-            entries;
+          List.iter (fun (key, value) -> Store.Cache.add t.store ~key ~value) entries;
           Obs.Counter.add c_sync_pulled (List.length entries);
-          log
-            (Printf.sprintf "warmed %d entr(y/ies) from %s"
-               (List.length entries) peer_name));
+          log t "warmed %d entr(y/ies) from %s" (List.length entries) peer_name);
         Client.close c)
-    cfg.sync_peers
+    t.cfg.sync_peers
 
-(* ---- socket lifecycle ---- *)
+(* ---- lifecycle ---- *)
 
 let run cfg =
-  Obs.Clock.set Unix.gettimeofday;
-  Obs.set_enabled true;
-  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  let endpoint = endpoint_of cfg in
   match Store.Cache.create ~max_bytes:cfg.cache_bytes ?journal:cfg.journal () with
   | Error e -> Error e
   | Ok store -> (
-    match Transport.listen endpoint with
+    let endpoint = endpoint_of cfg in
+    match
+      Front.open_ door ~endpoint ~max_line:cfg.max_line
+        ~access_log:cfg.access_log ~trace:cfg.trace ~verbose:cfg.verbose
+        ~log_prefix:"topoguard-serve: "
+    with
     | Error e ->
       Store.Cache.close store;
       Error e
-    | Ok listener -> (
-        Unix.set_nonblock listener;
-        let access_log =
-          match cfg.access_log with
-          | None -> Ok None
-          | Some path -> (
-            match open_out_gen [ Open_append; Open_creat ] 0o644 path with
-            | oc -> Ok (Some oc)
-            | exception Sys_error e -> Error ("access log: " ^ e))
-        in
-        match access_log with
-        | Error e ->
-          (* an unwritable access log is a startup error, like an
-             unwritable journal: better to refuse than to serve blind *)
-          Unix.close listener;
-          Transport.cleanup endpoint;
-          Store.Cache.close store;
-          Error e
-        | Ok access_log ->
-        if cfg.trace <> None then begin
-          Obs.Trace.set_pid (Unix.getpid ());
-          Obs.Trace.set_enabled true
-        end;
-        let t =
-          {
-            cfg;
-            store;
-            pool = Pool.create ~jobs:(max 2 cfg.jobs) ();
-            jobs_tbl = Hashtbl.create 64;
-            pending = Queue.create ();
-            terminal = Queue.create ();
-            running = [];
-            next_id = 1;
-            next_rid = 1;
-            conns = [];
-            listener = Some listener;
-            draining = Atomic.make false;
-            started_at = now ();
-            access_log;
-          }
-        in
-        let prev_term =
-          Sys.signal Sys.sigterm
-            (Sys.Signal_handle (fun _ -> Atomic.set t.draining true))
-        in
-        if cfg.sync_peers <> [] then
-          warm_from_peers ~log:(fun m -> log t "%s" m) store cfg;
-        log t "listening on %s (%d worker(s), queue %d)"
-          (Transport.endpoint_to_string endpoint)
-          cfg.jobs cfg.queue_capacity;
-        let close_conn c =
-          (try Unix.close c.fd with Unix.Unix_error _ -> ());
-          t.conns <- List.filter (fun c' -> c' != c) t.conns
-        in
-        let accept_new () =
-          match t.listener with
-          | None -> ()
-          | Some l ->
-            let continue = ref true in
-            while !continue do
-              match Unix.accept l with
-              | fd, _ ->
-                Unix.set_nonblock fd;
-                t.conns <- { fd; carry = "" } :: t.conns
-              | exception
-                  Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-                continue := false
-              | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            done
-        in
-        let feed conn chunk =
-          (* a line past the cap — complete or still accumulating — is
-             either a protocol error or hostile; reply once and close
-             (the stream cannot be resynchronised) *)
-          let oversized conn =
-            Obs.Counter.incr c_oversized;
-            write_all conn.fd
-              (J.to_string
-                 (J.Obj
-                    [
-                      ("ok", J.Bool false);
-                      ( "error",
-                        J.String
-                          (Printf.sprintf "line exceeds %d bytes"
-                             cfg.max_line) );
-                      ("v", J.Int Protocol.version);
-                    ])
-              ^ "\n");
-            raise Closed
-          in
-          let data = conn.carry ^ chunk in
-          let lines = String.split_on_char '\n' data in
-          let rec go = function
-            | [] -> conn.carry <- ""
-            | [ last ] ->
-              if String.length last > cfg.max_line then oversized conn
-              else conn.carry <- last
-            | line :: rest ->
-              if String.length line > cfg.max_line then oversized conn;
-              (if String.trim line <> "" then
-                 let resp = handle_line t line in
-                 write_all conn.fd (J.to_string resp ^ "\n"));
-              go rest
-          in
-          go lines
-        in
-        let read_conn conn =
-          let buf = Bytes.create 65536 in
-          match Unix.read conn.fd buf 0 (Bytes.length buf) with
-          | 0 -> close_conn conn
-          | n -> (
-            match feed conn (Bytes.sub_string buf 0 n) with
-            | () -> ()
-            | exception Closed -> close_conn conn)
-          | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _)
-            ->
-            ()
-          | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-          | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            close_conn conn
-        in
-        let finished () =
-          Atomic.get t.draining
-          && t.running = []
-          && queue_depth t = 0
-        in
-        while not (finished ()) do
-          (* entering drain: stop accepting new connections *)
-          (if Atomic.get t.draining then
-             match t.listener with
-             | Some l ->
-               (try Unix.close l with Unix.Unix_error _ -> ());
-               t.listener <- None;
-               log t "draining: listener closed"
-             | None -> ());
-          let read_fds =
-            (match t.listener with Some l -> [ l ] | None -> [])
-            @ List.map (fun c -> c.fd) t.conns
-          in
-          let readable, _, _ =
-            match Unix.select read_fds [] [] 0.05 with
-            | r -> r
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
-          in
-          (match t.listener with
-          | Some l when List.mem l readable -> accept_new ()
-          | _ -> ());
-          List.iter
-            (fun conn -> if List.mem conn.fd readable then read_conn conn)
-            t.conns;
+    | Ok front ->
+      let t =
+        {
+          cfg;
+          store;
+          pool = Pool.create ~jobs:(max 2 cfg.jobs) ();
+          jobs_tbl = Hashtbl.create 64;
+          pending = Queue.create ();
+          terminal = Queue.create ();
+          running = [];
+          next_id = 1;
+          front;
+          started_at = now ();
+        }
+      in
+      warm_from_peers t;
+      log t "listening on %s (%d worker(s), queue %d)"
+        (Transport.endpoint_to_string endpoint)
+        cfg.jobs cfg.queue_capacity;
+      Front.serve front ~handle:(handle t)
+        ~tick:(fun () ->
           reap_finished t;
-          start_ready_jobs t
-        done;
-        log t "drained: %d job(s) served" (t.next_id - 1);
-        List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
-        t.conns <- [];
-        (match t.listener with
-        | Some l -> ( try Unix.close l with Unix.Unix_error _ -> ())
-        | None -> ());
-        Transport.cleanup endpoint;
-        Pool.shutdown t.pool;
-        Store.Cache.close store;
-        (match cfg.trace with
-        | Some path ->
-          Obs.Trace.set_enabled false;
-          Obs.Trace.write_file path;
-          log t "trace written to %s" path
-        | None -> ());
-        (match t.access_log with Some oc -> close_out oc | None -> ());
-        Sys.set_signal Sys.sigterm prev_term;
-        Ok ()))
+          start_ready_jobs t)
+        ~finished:(fun () -> t.running = [] && queue_depth t = 0)
+        ();
+      log t "drained: %d job(s) served" (t.next_id - 1);
+      Pool.shutdown t.pool;
+      Store.Cache.close store;
+      Front.close front;
+      Ok ())

@@ -1,7 +1,7 @@
 (** The resident scenario service.
 
-    One process owns a listening stream socket ({!Transport}: the
-    Unix-domain default, or TCP for fleet shards) and a {!Pool} of
+    One process owns a {!Front} door on a stream socket ({!Transport}:
+    the Unix-domain default, or TCP for fleet shards) and a {!Pool} of
     worker domains; clients speak the line-delimited JSON protocol of
     {!Protocol}.  Submissions are keyed through {!Store.Canonical} and
     answered from the content-addressed store when possible — a cache hit
@@ -19,8 +19,8 @@
     Every figure is observable: [serve.queue.depth] (a gauge maintained
     with +1/-1 counter updates), [serve.jobs.{submitted,done,failed,
     timeout,cancelled,rejected,cache_hits,completed}], [serve.requests],
-    [store.{hit,miss,evict,insert}], the [serve.job.{wait,run}] timers
-    and the [serve.job.{wait,service}_seconds] / [serve.request.seconds]
+    [store.{hit,miss,evict,insert}] and the
+    [serve.job.{wait,service}_seconds] / [serve.request.seconds]
     histograms all land in the ordinary [Obs] snapshot, which both the
     [stats] op and the CLI's [--stats]/[--stats-json] report.  The
     [metrics] op returns the same data as Prometheus text exposition

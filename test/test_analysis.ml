@@ -515,7 +515,7 @@ let audit_tests =
           let cands = Attack.Single_line.all_feasible ~scenario:spec ~base in
           Alcotest.(check bool) "has candidates" true (cands <> []);
           let dispatch =
-            match Opf.Opf_auto.solve_factors (Grid.Topology.make grid) with
+            match Opf.Float_opf.solve (Grid.Topology.make grid) with
             | Opf.Dc_opf.Dispatch d -> d
             | _ -> Alcotest.fail "base infeasible"
           in

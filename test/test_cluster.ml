@@ -295,6 +295,35 @@ let server_tests =
         | Ok _ -> Alcotest.fail "connection survived an oversized line");
         Serve.Client.close c2;
         shutdown_server c server);
+    Alcotest.test_case "coordinator oversized-line reply matches the server's"
+      `Slow (fun () ->
+        let sock = tmp (Printf.sprintf "tg-co-big-%d.sock" (Unix.getpid ())) in
+        if Sys.file_exists sock then Sys.remove sock;
+        let endpoint = Serve.Transport.Unix_sock sock in
+        let cfg =
+          {
+            (Cluster.Coordinator.default_config ~listen:endpoint
+               ~shards:[ ("shard-0", Serve.Transport.Unix_sock (sock ^ ".none")) ])
+            with
+            Cluster.Coordinator.max_line = 4096;
+          }
+        in
+        let coordinator = Pool.detached (fun () -> Cluster.Coordinator.run cfg) in
+        let c = connect_retry endpoint in
+        let resp =
+          Serve.Client.rpc c
+            (J.Obj [ ("op", J.String "submit"); ("grid", J.String (String.make 8192 'x')) ])
+        in
+        (match resp with
+        | Ok r ->
+          Alcotest.(check bool) "rejected" false (bool_field "ok" r);
+          Alcotest.(check int) "carries the protocol version" P.version (int_field "v" r)
+        | Error e -> Alcotest.failf "no reply to an oversized line: %s" e);
+        (match Serve.Client.request c P.Stats with
+        | Error _ -> ()
+        | Ok _ -> Alcotest.fail "connection survived an oversized line");
+        Serve.Client.close c;
+        shutdown_server (connect_retry endpoint) coordinator);
     Alcotest.test_case "a cold shard pulls its range from a warm peer" `Slow
       (fun () ->
         let pid = Unix.getpid () in

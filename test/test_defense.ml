@@ -100,7 +100,7 @@ let contingency_tests =
     Alcotest.test_case "SC-OPF costs at least the plain OPF" `Quick (fun () ->
         let grid = (TS.ieee 14).Grid.Spec.grid in
         let topo = T.make grid in
-        match (Opf.Opf_auto.solve_factors topo, Opf.Contingency.sc_opf ~emergency_factor:2.0 topo) with
+        match (Opf.Float_opf.solve topo, Opf.Contingency.sc_opf ~emergency_factor:2.0 topo) with
         | Opf.Dc_opf.Dispatch plain, Opf.Dc_opf.Dispatch secure ->
           Alcotest.(check bool) "sc >= plain (within float slop)" true
             (Q.to_float secure.Opf.Dc_opf.cost

@@ -60,6 +60,17 @@ let basic_tests =
         Lp.add_ge t (L.var x) (Q.of_int 2);
         Alcotest.(check bool) "infeasible" true
           (Lp.minimize t (L.var x) = Lp.Infeasible));
+    Alcotest.test_case "contradictory bounds on one expression" `Quick
+      (fun () ->
+        (* 3x - y <= 0 and 3x - y >= 1 share one row *)
+        let t = Lp.create () in
+        let x = Lp.add_var ~lo:Q.zero ~hi:Q.one t in
+        let y = Lp.add_var ~lo:Q.zero ~hi:(Q.of_int 2) t in
+        let e = L.sub (L.scale (Q.of_int 3) (L.var x)) (L.var y) in
+        Lp.add_le t e Q.zero;
+        Lp.add_ge t e Q.one;
+        Alcotest.(check bool) "infeasible" true
+          (Lp.minimize t (L.const Q.zero) = Lp.Infeasible));
     Alcotest.test_case "unbounded" `Quick (fun () ->
         let t = Lp.create () in
         let x = Lp.add_var ~hi:Q.zero t in

@@ -143,6 +143,20 @@ let histogram_tests =
              { Obs.h_count = 0; h_sum = 0.0; h_min = None; h_max = None;
                h_buckets = [] }
              0.5));
+    Alcotest.test_case "a mostly-zero histogram has a zero median" `Quick
+      (fun () ->
+        let h = Obs.Histogram.make "test.obs.hist_zeros" in
+        for _ = 1 to 9 do
+          Obs.Histogram.observe h 0.0
+        done;
+        Obs.Histogram.observe h 1.0;
+        let e = Obs.Histogram.read h in
+        Alcotest.(check (option (float 0.))) "p50 is exactly 0" (Some 0.0)
+          (Obs.quantile e 0.5);
+        Alcotest.(check (option (float 0.))) "p90 is exactly 0" (Some 0.0)
+          (Obs.quantile e 0.9);
+        Alcotest.(check (option (float 1e-9))) "p100 is the max" (Some 1.0)
+          (Obs.quantile e 1.0));
     Alcotest.test_case "time is gated on enabled" `Quick (fun () ->
         let h = Obs.Histogram.make "test.obs.hist_time_gate" in
         let was = Obs.enabled () in

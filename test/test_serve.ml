@@ -108,6 +108,133 @@ let protocol_tests =
           (P.job_key spec s) (P.job_key spec s));
   ]
 
+(* ---- line framing ---- *)
+
+module F = P.Frame
+
+(* every line the streaming splitter yields for [chunks], fed in order *)
+let split_all chunks =
+  let s = F.splitter () in
+  let out = ref [] in
+  List.iter
+    (fun c ->
+      F.feed s (Bytes.of_string c) 0 (String.length c);
+      let rec drain () =
+        match F.next s with
+        | `Line l ->
+          out := l :: !out;
+          drain ()
+        | `Partial -> ()
+        | `Oversized -> Alcotest.fail "unexpected Oversized"
+      in
+      drain ())
+    chunks;
+  List.rev !out
+
+(* the blocking reader's view of [chunks], written one by one from
+   another domain into a socketpair *)
+let read_all chunks =
+  let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  let writer =
+    Pool.detached (fun () ->
+        List.iter
+          (fun c ->
+            ignore (Unix.write_substring b c 0 (String.length c)))
+          chunks;
+        Unix.close b)
+  in
+  let r = F.reader a in
+  let rec go acc =
+    match F.read_line r with
+    | `Line l -> go (l :: acc)
+    | `Eof -> List.rev acc
+    | `Oversized -> Alcotest.fail "unexpected Oversized"
+  in
+  let lines = go [] in
+  Pool.Future.await writer;
+  Unix.close a;
+  lines
+
+(* cut [s] at the given chunk sizes, cycling through them *)
+let chunk s sizes =
+  let n = String.length s in
+  let rec go ofs sizes acc =
+    if ofs >= n then List.rev acc
+    else
+      match sizes with
+      | [] -> go ofs [ 1 ] acc
+      | k :: rest ->
+        let k = min k (n - ofs) in
+        go (ofs + k) (rest @ [ k ]) (String.sub s ofs k :: acc)
+  in
+  go 0 sizes []
+
+let frame_prop =
+  let open QCheck2.Gen in
+  let line =
+    string_size ~gen:(oneofl [ 'a'; 'z'; ' '; '{'; '"'; '\r'; '\t' ]) (0 -- 300)
+  in
+  let sizes = list_size (1 -- 6) (oneof [ pure 1; 1 -- 7; 1 -- 700 ]) in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:60
+       ~name:"any chunking frames the same lines, streaming and blocking"
+       (pair (list_size (0 -- 25) line) sizes)
+       (fun (lines, sizes) ->
+         let stream = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+         let chunks = chunk stream sizes in
+         split_all chunks = lines && read_all chunks = lines))
+
+let frame_tests =
+  [
+    frame_prop;
+    Alcotest.test_case "one-byte chunks and many lines per chunk" `Quick
+      (fun () ->
+        let lines = [ "a"; ""; "bc"; String.make 5000 'x'; "d" ] in
+        let stream = String.concat "" (List.map (fun l -> l ^ "\n") lines) in
+        Alcotest.(check (list string)) "1-byte" lines
+          (split_all (chunk stream [ 1 ]));
+        Alcotest.(check (list string)) "one chunk" lines (split_all [ stream ]));
+    Alcotest.test_case "cap edges: max_line passes, max_line + 1 does not"
+      `Quick (fun () ->
+        let max_line = 8 in
+        let at = String.make max_line 'x' and over = String.make (max_line + 1) 'x' in
+        let next_of data =
+          let s = F.splitter ~max_line () in
+          F.feed s (Bytes.of_string data) 0 (String.length data);
+          F.next s
+        in
+        let show = function
+          | `Line l -> "line " ^ l
+          | `Partial -> "partial"
+          | `Oversized -> "oversized"
+          | `Eof -> "eof"
+        in
+        let check name expected got =
+          Alcotest.(check string) name (show expected) (show got)
+        in
+        (* the complete-line path *)
+        check "complete at cap" (`Line at) (next_of (at ^ "\n"));
+        check "complete over cap" `Oversized (next_of (over ^ "\n"));
+        (* the still-accumulating path *)
+        check "partial at cap" `Partial (next_of at);
+        check "partial over cap" `Oversized (next_of over);
+        (* the same edges through the blocking reader *)
+        let blocking data ~close =
+          let a, b = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          ignore (Unix.write_substring b data 0 (String.length data));
+          if close then Unix.close b;
+          let got = F.read_line (F.reader ~max_line a) in
+          Unix.close a;
+          if not close then Unix.close b;
+          got
+        in
+        check "blocking complete at cap" (`Line at) (blocking (at ^ "\n") ~close:false);
+        check "blocking complete over cap" `Oversized
+          (blocking (over ^ "\n") ~close:false);
+        check "blocking partial at cap, then EOF" `Eof (blocking at ~close:true);
+        check "blocking partial over cap" `Oversized (blocking over ~close:false));
+  ]
+
 (* ---- in-process server over a temp socket ---- *)
 
 let tmp name = Filename.concat (Filename.get_temp_dir_name ()) name
@@ -399,4 +526,4 @@ let server_tests =
 
 let () =
   Alcotest.run "serve"
-    [ ("protocol", protocol_tests); ("server", server_tests) ]
+    [ ("protocol", protocol_tests); ("frame", frame_tests); ("server", server_tests) ]
