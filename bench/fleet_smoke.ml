@@ -8,13 +8,19 @@
    (every item cached = true, zero new simplex pivots on any shard, and
    every shard must have completed work, proving the ring actually
    spread the keys).  The aggregated metrics scrape must carry per-shard
-   labels and the coordinator's own cluster.* series.  Then one shard is
-   shut down behind the coordinator's back and the batch submitted a
-   third time: the coordinator must notice the death, rebalance the
-   ring (cluster.ring.rebalances / keys_moved count it) and still
-   deliver all 50 correct answers.  Finally SIGTERM must drain the
-   fleet: exit 0, the coordinator socket removed, and every shard port
-   refusing connections (no shard process left behind).
+   labels and the coordinator's own cluster.* series.  Then a fresh
+   cold batch is submitted and awaited by several clients at once, and
+   while their waits are parked at the coordinator one shard process is
+   SIGKILLed: the coordinator must see the death on the parked waits'
+   side connections, rebalance the ring (cluster.ring.rebalances /
+   keys_moved count it), resubmit to the new owners, and still deliver
+   every answer byte-identical to the single server's.  A second shard
+   is then shut down behind the coordinator's back and the first batch
+   resubmitted: its sub-batch to the dead shard is re-dispatched, and
+   every answer still matches.  Finally SIGTERM
+   must drain the fleet: exit 0, the coordinator socket removed, and
+   every shard port refusing connections (no shard process left
+   behind).
 
    CI entry point: dune build @fleet-smoke *)
 
@@ -66,6 +72,12 @@ let scenarios =
         backend = "lp";
         timeout = 0.;
       })
+
+(* the batch the shard death interrupts: 14-bus jobs (each a fraction
+   of a second of exact LP) with targets the first batch never used *)
+let kill_scenarios =
+  List.init 24 (fun k ->
+      { (List.nth scenarios 1) with P.increase = Some (Printf.sprintf "%d.5" (1 + k)) })
 
 (* ---- JSON helpers ---- *)
 
@@ -156,9 +168,9 @@ let connect_retry endpoint log_file =
   in
   go 200
 
-(* batch-submit all scenarios and await every job: the list of result
-   payloads in submission order, plus how many items came back cached *)
-let run_batch what c =
+(* batch-submit scenarios: the job ids in submission order, plus how
+   many items came back cached *)
+let submit_batch what c scenarios =
   let resp = expect_ok what (Serve.Client.submit_batch c scenarios) in
   let items =
     match J.member "results" resp with
@@ -167,20 +179,70 @@ let run_batch what c =
     | _ -> fail "%s: malformed batch response %s" what (J.to_string resp)
   in
   let cached = ref 0 in
-  let answers =
+  let ids =
     List.mapi
       (fun k item ->
         if not (bool_field "ok" item) then
           fail "%s: item %d rejected: %s" what k (J.to_string item);
         if bool_field "cached" item then incr cached;
-        let id = int_field "id" item in
-        match Serve.Client.await c ~id ~timeout:120. () with
-        | Ok ("done", Some result) -> J.to_string result
-        | Ok (st, _) -> fail "%s: item %d ended as %s" what k st
-        | Error e -> fail "%s: await item %d: %s" what k e)
+        int_field "id" item)
       items
   in
-  (answers, !cached)
+  (ids, !cached)
+
+let await_result c id =
+  match Serve.Client.await c ~id ~timeout:120. () with
+  | Ok ("done", Some result) -> Ok (J.to_string result)
+  | Ok (st, _) -> Error ("ended as " ^ st)
+  | Error e -> Error ("await: " ^ e)
+
+let await_answer what c k id =
+  match await_result c id with
+  | Ok answer -> answer
+  | Error e -> fail "%s: item %d %s" what k e
+
+(* submit a batch and await every job: the result payloads in submission
+   order, plus how many items came back cached *)
+let run_batch ?(scenarios = scenarios) what c =
+  let ids, cached = submit_batch what c scenarios in
+  (List.mapi (await_answer what c) ids, cached)
+
+(* SIGTERM [pid] and reap it; false if it is still running after 20 s *)
+let stopped_by_sigterm pid =
+  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+  let deadline = Unix.gettimeofday () +. 20. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      wait ()
+    | 0, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error _ -> true
+  in
+  wait ()
+
+(* the shard process listening on [port], found by its command line *)
+let listening_pid port =
+  let listen = Printf.sprintf "tcp:%s:%d" host port in
+  let rec has_listen = function
+    | "--listen" :: ep :: _ when ep = listen -> true
+    | _ :: rest -> has_listen rest
+    | [] -> false
+  in
+  let cmdline pid =
+    match open_in_bin (Printf.sprintf "/proc/%s/cmdline" pid) with
+    | ic ->
+      let s = try In_channel.input_all ic with Sys_error _ -> "" in
+      close_in ic;
+      String.split_on_char '\000' s
+    | exception Sys_error _ -> []
+  in
+  Option.map int_of_string
+    (List.find_opt
+       (fun d -> d <> "" && String.for_all (fun ch -> ch >= '0' && ch <= '9') d
+                 && has_listen (cmdline d))
+       (Array.to_list (Sys.readdir "/proc")))
 
 let () =
   let cli =
@@ -200,12 +262,14 @@ let () =
   let kill_ref () =
     if not !ref_done then begin
       (try Unix.kill ref_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] ref_pid)
+      (try ignore (Unix.waitpid [] ref_pid) with Unix.Unix_error _ -> ())
     end
   in
-  Fun.protect ~finally:kill_ref @@ fun () ->
+  (* [fail] exits without unwinding, so clean-ups run from at_exit *)
+  at_exit kill_ref;
   let c = connect_retry (Serve.Transport.Unix_sock ref_sock) ref_log in
   let reference, _ = run_batch "reference batch" c in
+  let kill_reference, _ = run_batch ~scenarios:kill_scenarios "reference kill batch" c in
   Serve.Client.close c;
   Unix.kill ref_pid Sys.sigterm;
   (match Unix.waitpid [] ref_pid with
@@ -230,22 +294,25 @@ let () =
     List.init n_shards (fun i -> Serve.Transport.Tcp (host, base_port + i))
   in
   let kill_fleet () =
-    if not !fleet_done then begin
-      (* a failed run must not leave shard processes behind: ask each
-         shard to drain before killing the coordinator that reaps them *)
-      List.iter
-        (fun ep ->
-          match Serve.Client.connect_endpoint ep with
-          | Ok c ->
-            ignore (Serve.Client.request c P.Shutdown);
-            Serve.Client.close c
-          | Error _ -> ())
-        shard_endpoints;
-      (try Unix.kill fleet_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] fleet_pid)
-    end
+    if not !fleet_done then
+      (* a failed run must not leave shard processes behind: SIGTERM
+         drains the fleet, which stops and reaps its shards; one that
+         does not exit in time has each shard asked to drain before the
+         coordinator is killed *)
+      if not (stopped_by_sigterm fleet_pid) then begin
+        List.iter
+          (fun ep ->
+            match Serve.Client.connect_endpoint ep with
+            | Ok c ->
+              ignore (Serve.Client.request c P.Shutdown);
+              Serve.Client.close c
+            | Error _ -> ())
+          shard_endpoints;
+        (try Unix.kill fleet_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] fleet_pid) with Unix.Unix_error _ -> ())
+      end
   in
-  Fun.protect ~finally:kill_fleet @@ fun () ->
+  at_exit kill_fleet;
   let c = connect_retry (Serve.Transport.Unix_sock fleet_sock) fleet_log in
 
   (* cold: answers must be byte-identical to the single server's *)
@@ -346,18 +413,94 @@ let () =
       "topoguard_cluster_route_seconds_bucket";
     ];
 
-  (* 3. shoot a shard behind the coordinator's back, resubmit: the
-     coordinator must notice, rebalance and still answer everything *)
-  let victim = Serve.Transport.Tcp (host, base_port + 1) in
-  let vc = connect_retry victim fleet_log in
+  (* 3. SIGKILL a shard mid-wait: a fresh cold batch, awaited by four
+     clients at once, the victim's items first, so their waits are
+     parked at the coordinator when the shard dies *)
+  let victim_name = "shard-1" in
+  let victim_port = base_port + 1 in
+  let ring = Cluster.Ring.create (List.init n_shards (Printf.sprintf "shard-%d")) in
+  let owner (s : P.submit) =
+    match Grid.Spec.parse s.P.grid with
+    | Ok spec -> Cluster.Ring.owner ring (P.job_key spec s)
+    | Error e -> fail "parse: %s" e
+  in
+  let victim_items =
+    List.filter (fun k -> owner (List.nth kill_scenarios k) = Some victim_name)
+      (List.init (List.length kill_scenarios) Fun.id)
+  in
+  if List.length victim_items < 4 then
+    fail "%s owns %d of the kill batch's items, need 4" victim_name
+      (List.length victim_items);
+  let order =
+    victim_items
+    @ List.filter (fun k -> not (List.mem k victim_items))
+        (List.init (List.length kill_scenarios) Fun.id)
+  in
+  let ids, _ = submit_batch "kill batch" c kill_scenarios in
+  let ids = Array.of_list ids in
+  (* awaiter domains only record: [fail] belongs to the main domain *)
+  let answers = Array.make (Array.length ids) (Error "not awaited") in
+  let next = Atomic.make 0 in
+  let awaiter () =
+    match Serve.Client.connect_endpoint (Serve.Transport.Unix_sock fleet_sock) with
+    | Error e -> Array.iteri (fun k _ -> answers.(k) <- Error e) answers
+    | Ok ac ->
+      let rec go () =
+        let i = Atomic.fetch_and_add next 1 in
+        if i < List.length order then begin
+          let k = List.nth order i in
+          answers.(k) <- await_result ac ids.(k);
+          go ()
+        end
+      in
+      go ();
+      Serve.Client.close ac
+  in
+  let awaiters = List.init 4 (fun _ -> Pool.detached awaiter) in
+  Unix.sleepf 0.05;
+  (match listening_pid victim_port with
+  | Some pid -> Unix.kill pid Sys.sigkill
+  | None -> fail "no process listens on port %d" victim_port);
+  List.iter Pool.Future.await awaiters;
+  List.iteri
+    (fun k b ->
+      match answers.(k) with
+      | Error e -> fail "kill batch: item %d %s" k e
+      | Ok a when a <> b ->
+        fail "kill batch item %d differs from reference:\n  fleet: %s\n  ref:   %s" k a b
+      | Ok _ -> ())
+    kill_reference;
+  (* the coordinator's verbose log names the path the death took *)
+  let log_text = In_channel.with_open_bin fleet_log In_channel.input_all in
+  let mentions needle =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length log_text && (String.sub log_text i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  if not (mentions (victim_name ^ " failed mid-wait")) then
+    fail "no parked wait saw %s die (coordinator log has no mid-wait failure)"
+      victim_name;
+  let stats_f = expect_ok "stats failover" (Serve.Client.request c P.Stats) in
+  if coord_counter stats_f "cluster.ring.rebalances" < 1 then
+    fail "coordinator did not record a ring rebalance after the shard death";
+  if coord_counter stats_f "cluster.ring.keys_moved" < 1 then
+    fail "ring rebalance moved no tracked keys";
+
+  (* 3b. a second shard shut down behind the coordinator's back: the
+     resubmitted first batch's sub-batch to it fails and is
+     re-dispatched to the last live shard *)
+  let victim2 = Serve.Transport.Tcp (host, base_port + 2) in
+  let vc = connect_retry victim2 fleet_log in
   ignore (expect_ok "shutdown shard" (Serve.Client.request vc P.Shutdown));
   Serve.Client.close vc;
   let rec wait_dead n =
-    if n = 0 then fail "shard-1 still accepting connections after shutdown"
+    if n = 0 then fail "shard-2 still accepting connections after shutdown"
     else
-      match Serve.Client.connect_endpoint victim with
-      | Ok c2 ->
-        Serve.Client.close c2;
+      match Serve.Transport.dial victim2 with
+      | Ok fd ->
+        Unix.close fd;
         Unix.sleepf 0.05;
         wait_dead (n - 1)
       | Error _ -> ()
@@ -369,10 +512,8 @@ let () =
       if a <> b then fail "failover batch item %d differs from reference" k)
     (List.combine failover reference);
   let stats_f = expect_ok "stats failover" (Serve.Client.request c P.Stats) in
-  if coord_counter stats_f "cluster.ring.rebalances" < 1 then
-    fail "coordinator did not record a ring rebalance after the shard death";
-  if coord_counter stats_f "cluster.ring.keys_moved" < 1 then
-    fail "ring rebalance moved no tracked keys";
+  if coord_counter stats_f "cluster.ring.rebalances" < 2 then
+    fail "coordinator did not record a rebalance for the second shard death";
   if coord_counter stats_f "cluster.batch.failed" <> 0 then
     fail "cluster.batch.failed = %d after failover"
       (coord_counter stats_f "cluster.batch.failed");
@@ -403,8 +544,9 @@ let () =
   Printf.printf
     "fleet-smoke: OK (50-scenario batch byte-identical to single server, \
      cold %.1fs vs warm %.1fs resubmit 100%% cached with zero new pivots, \
-     per-shard metrics labels, shard death survived with rebalance, \
-     graceful drain with every shard port closed; BENCH_fleet.json \
-     written) in %.1fs\n"
+     per-shard metrics labels, shard SIGKILLed mid-wait survived with \
+     rebalance and every answer byte-identical, a second shard death \
+     survived by a batch, graceful drain with every shard port closed; \
+     BENCH_fleet.json written) in %.1fs\n"
     cold_wall warm_wall
     (Unix.gettimeofday () -. t0)

@@ -6,8 +6,10 @@
    rate with an 80/20 warm/cold scenario mix.  The gate asserts the p99
    story: every offered arrival accepted and answered (zero lost, zero
    errors), p99 end-to-end latency under a generous ceiling, queue depth
-   bounded by the shards' queue capacity throughout, and a report with
-   nonempty latency histograms written to BENCH_load.json.
+   bounded by the shards' queue capacity throughout, no client-side
+   sleep on the await path (Client.await is one blocking wait, so the
+   client.await.backoff.seconds histogram stays empty), and a report
+   with nonempty latency histograms written to BENCH_load.json.
 
    Then one traced submission crosses the whole fleet, the fleet is
    drained (each process writes its own trace file), and the per-process
@@ -82,6 +84,21 @@ let spawn argv log_file =
   Unix.close log_fd;
   pid
 
+(* SIGTERM [pid] and reap it; false if it is still running after 20 s *)
+let stopped_by_sigterm pid =
+  (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+  let deadline = Unix.gettimeofday () +. 20. in
+  let rec wait () =
+    match Unix.waitpid [ Unix.WNOHANG ] pid with
+    | 0, _ when Unix.gettimeofday () < deadline ->
+      Unix.sleepf 0.05;
+      wait ()
+    | 0, _ -> false
+    | _ -> true
+    | exception Unix.Unix_error _ -> true
+  in
+  wait ()
+
 let dump_log file =
   if Sys.file_exists file then begin
     let ic = open_in_bin file in
@@ -148,12 +165,25 @@ let () =
   in
   let fleet_done = ref false in
   let kill_fleet () =
-    if not !fleet_done then begin
-      (try Unix.kill fleet_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] fleet_pid)
-    end
+    if not !fleet_done then
+      (* SIGTERM drains the fleet, which stops and reaps its shards; one
+         that does not exit in time has each shard asked to drain (they
+         outlive a killed coordinator) before the coordinator is killed *)
+      if not (stopped_by_sigterm fleet_pid) then begin
+        List.iter
+          (fun i ->
+            match Serve.Client.connect_endpoint (Serve.Transport.Tcp (host, base_port + i)) with
+            | Ok c ->
+              ignore (Serve.Client.request c P.Shutdown);
+              Serve.Client.close c
+            | Error _ -> ())
+          (List.init n_shards Fun.id);
+        (try Unix.kill fleet_pid Sys.sigkill with Unix.Unix_error _ -> ());
+        (try ignore (Unix.waitpid [] fleet_pid) with Unix.Unix_error _ -> ())
+      end
   in
-  Fun.protect ~finally:kill_fleet @@ fun () ->
+  (* [fail] exits without unwinding, so the clean-up runs from at_exit *)
+  at_exit kill_fleet;
   let probe = connect_retry (Serve.Transport.Unix_sock fleet_sock) in
   Serve.Client.close probe;
 
@@ -203,6 +233,11 @@ let () =
     | None -> infinity
   in
   if p99 > 10. then fail "p99 end-to-end latency %.3fs over the 10s ceiling" p99;
+  (* Loadgen honours retry_after with its own sleep, so only Client.await
+     could feed this histogram: a sample means polling came back *)
+  let backoff_n = hist_count "client.await.backoff.seconds" r in
+  if backoff_n <> 0 then
+    fail "%d client backoff sleep(s) in the load window: Client.await polls" backoff_n;
 
   (* queue depth: sampled, and bounded by the shards' queue capacity *)
   if r.samples = [] then fail "no queue-depth samples collected";

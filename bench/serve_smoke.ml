@@ -137,10 +137,11 @@ let () =
   let finally () =
     if not !killed then begin
       (try Unix.kill server_pid Sys.sigkill with Unix.Unix_error _ -> ());
-      ignore (Unix.waitpid [] server_pid)
+      (try ignore (Unix.waitpid [] server_pid) with Unix.Unix_error _ -> ())
     end
   in
-  Fun.protect ~finally @@ fun () ->
+  (* [fail] exits without unwinding, so the clean-up runs from at_exit *)
+  at_exit finally;
   let c = connect_retry () in
 
   (* 1. first submission: a real solve *)

@@ -15,7 +15,13 @@ module Front = Serve.Front
    the failover story: when a shard dies mid-conversation, the
    coordinator drops it from the ring (counting how many tracked keys
    changed owner) and transparently resubmits the retained payload to
-   the new owner on the next status/result touch. *)
+   the new owner on the next status/result/wait touch.
+
+   A [wait] is parked at the front door and relayed on a side
+   connection to the owning shard, watched by the same select loop, so
+   the coordinator never blocks on a job; a side connection that fails
+   mid-wait is a dead shard, and the wait is re-parked on the new
+   owner. *)
 
 type config = {
   listen : Serve.Transport.endpoint;
@@ -57,6 +63,7 @@ type job = {
   point : int option;  (* None when the grid did not parse *)
   mutable shard : string;
   mutable remote_id : int;
+  mutable retired : bool;  (* a terminal status was relayed: in [t.retired] *)
 }
 
 type t = {
@@ -64,6 +71,11 @@ type t = {
   mutable ring : Ring.t;
   shards : (string, Shard.t) Hashtbl.t;
   jobs : (int, job) Hashtbl.t;
+  retired : int Queue.t;
+      (* ids whose terminal status was relayed, oldest first; bounds
+         [jobs] like the shards' own terminal-job retention *)
+  retain : int;
+  mutable waits : int;  (* parked waits: the drain answers them all *)
   mutable next_id : int;
   front : Front.t;
   mutable fwd_trace : (string * string) option;
@@ -135,12 +147,32 @@ let rec route_rpc t point req =
 
 (* ---- verbs ---- *)
 
-let rewrite_id resp id =
-  match resp with
-  | J.Obj fields ->
-    J.Obj
-      (List.map (fun (k, v) -> if k = "id" then (k, J.Int id) else (k, v)) fields)
-  | other -> other
+(* a job whose terminal status reached the client is only kept for a
+   while: the newest [t.retain] of them (the shards' combined terminal
+   retention); jobs still queued or running are never evicted *)
+let note_terminal t id resp =
+  match (J.member "status" resp, Hashtbl.find_opt t.jobs id) with
+  | Some (J.String ("done" | "failed" | "cancelled" | "timeout")), Some job
+    when not job.retired ->
+    job.retired <- true;
+    Queue.push id t.retired;
+    while Queue.length t.retired > t.retain do
+      Hashtbl.remove t.jobs (Queue.pop t.retired)
+    done
+  | _ -> ()
+
+(* the shard's reply with the client's id in place of the shard-local
+   one, noting a terminal status *)
+let relay t resp id =
+  let resp =
+    match resp with
+    | J.Obj fields ->
+      J.Obj
+        (List.map (fun (k, v) -> if k = "id" then (k, J.Int id) else (k, v)) fields)
+    | other -> other
+  in
+  note_terminal t id resp;
+  resp
 
 (* a successful submit response names a shard-local id; retain the
    mapping and hand the client a coordinator id instead *)
@@ -149,8 +181,8 @@ let register t ~point ~payload ~shard resp =
   | Some (J.Bool true), Some (J.Int remote_id) ->
     let id = t.next_id in
     t.next_id <- id + 1;
-    Hashtbl.replace t.jobs id { payload; point; shard; remote_id };
-    rewrite_id resp id
+    Hashtbl.replace t.jobs id { payload; point; shard; remote_id; retired = false };
+    relay t resp id
   | _ -> resp (* parse error, queue_full, ... pass through untouched *)
 
 let handle_submit t s =
@@ -214,40 +246,144 @@ let handle_batch t items =
   Obs.Counter.add c_batch_failed (List.length failed);
   Front.ok [ ("results", J.List results) ]
 
+(* the job's shard, when it is still alive and in the ring *)
+let live_shard t job =
+  match Hashtbl.find_opt t.shards job.shard with
+  | Some sh when Shard.alive sh && Ring.mem t.ring job.shard -> Some sh
+  | _ -> None
+
+(* after its shard died: resubmit the retained payload to the current
+   owner — the job restarts (losing any progress) on the new shard, or
+   the reply that says why it could not *)
+let resubmit t id job =
+  log t "job %d: shard %s is gone, resubmitting" id job.shard;
+  match route_rpc t job.point (P.Submit job.payload) with
+  | Error e -> Error (Front.err e)
+  | Ok (name, resp) -> (
+    match (J.member "ok" resp, J.member "id" resp) with
+    | Some (J.Bool true), Some (J.Int remote_id) ->
+      job.shard <- name;
+      job.remote_id <- remote_id;
+      Ok ()
+    | _ -> Error (relay t resp id))
+
 (* id-addressed verbs (status/result/cancel): forward to the job's
    shard, translating ids both ways.  A dead shard triggers transparent
-   resubmission of the retained payload to the current owner — the job
-   restarts (losing any progress) but the client's polling loop never
-   sees the seam. *)
+   resubmission, so the client never sees the seam. *)
 let forward_job t id make_req =
   match Hashtbl.find_opt t.jobs id with
   | None -> Front.err (Printf.sprintf "unknown job %d" id)
   | Some job ->
     let rec forward () =
-      match Hashtbl.find_opt t.shards job.shard with
-      | Some sh when Shard.alive sh && Ring.mem t.ring job.shard -> (
+      match live_shard t job with
+      | Some sh -> (
         match Shard.request ?trace:t.fwd_trace sh (make_req job.remote_id) with
         | Ok resp ->
           t.last_shard <- Some job.shard;
-          rewrite_id resp id
+          relay t resp id
         | Error e ->
           log t "shard %s failed: %s" job.shard e;
           shard_down t sh;
           reroute ())
-      | _ -> reroute ()
+      | None -> reroute ()
     and reroute () =
-      log t "job %d: shard %s is gone, resubmitting" id job.shard;
-      match route_rpc t job.point (P.Submit job.payload) with
-      | Error e -> Front.err e
-      | Ok (name, resp) -> (
-        match (J.member "ok" resp, J.member "id" resp) with
-        | Some (J.Bool true), Some (J.Int remote_id) ->
-          job.shard <- name;
-          job.remote_id <- remote_id;
-          forward ()
-        | _ -> rewrite_id resp id)
+      match resubmit t id job with Ok () -> forward () | Error resp -> resp
     in
     forward ()
+
+(* ---- wait: parked here, relayed on a side connection ---- *)
+
+type wait = {
+  wid : int;
+  wjob : job;
+  deadline : float;  (* infinity: no timeout *)
+  parked : Front.parked;
+  trace : (string * string) option;  (* forwarded shard-ward *)
+  ctx : (string * string) option;  (* the request's own, for the log *)
+  mutable side : Shard.side option;  (* carrying it now *)
+}
+
+let end_side t w =
+  match w.side with
+  | Some side ->
+    w.side <- None;
+    Front.unwatch t.front (Shard.side_fd side);
+    Some side
+  | None -> None
+
+(* the forwarded context carries the coordinator's own span id as the
+   new parent; the span and the access log name the routed shard *)
+let routed ~shard ~fwd ~ctx resp =
+  let shard = Option.to_list shard in
+  {
+    Front.resp;
+    span_args =
+      List.map (fun s -> ("shard", s)) shard
+      @ List.map (fun (_, span) -> ("span", span)) (Option.to_list fwd);
+    log_fields =
+      List.map (fun s -> ("shard", J.String s)) shard
+      @ List.map (fun (id, _) -> ("trace", J.String id)) (Option.to_list ctx);
+  }
+
+let finish_wait t w ?shard resp =
+  t.waits <- t.waits - 1;
+  Front.answer t.front w.parked
+    (routed ~shard ~fwd:w.trace ~ctx:w.ctx (relay t resp w.wid))
+
+(* send the wait, with what is left of its timeout, to the job's shard;
+   its reply arrives through [on_side] *)
+let rec forward_wait t w =
+  match live_shard t w.wjob with
+  | None -> reroute_wait t w
+  | Some sh -> (
+    let timeout =
+      if w.deadline = infinity then None
+      else Some (Float.max 0. (w.deadline -. Obs.Clock.now ()))
+    in
+    let req = P.json_of_request (P.Wait (w.wjob.remote_id, timeout)) in
+    match Shard.side_send sh (P.with_trace w.trace req) with
+    | Error e ->
+      log t "shard %s failed: %s" w.wjob.shard e;
+      shard_down t sh;
+      reroute_wait t w
+    | Ok side ->
+      w.side <- Some side;
+      Front.watch t.front (Shard.side_fd side) (fun () -> on_side t w sh side))
+
+and reroute_wait t w =
+  match resubmit t w.wid w.wjob with
+  | Ok () -> forward_wait t w
+  | Error resp -> finish_wait t w resp
+
+and on_side t w sh side =
+  match Shard.side_read side with
+  | `Pending -> ()
+  | `Reply resp ->
+    ignore (end_side t w);
+    Shard.side_idle sh side;
+    finish_wait t w ~shard:(Shard.name sh) resp
+  | `Failed e ->
+    ignore (end_side t w);
+    Shard.close_side side;
+    log t "shard %s failed mid-wait: %s" w.wjob.shard e;
+    shard_down t sh;
+    reroute_wait t w
+
+let park_wait t ctx id job timeout =
+  let deadline =
+    match timeout with Some s -> Obs.Clock.now () +. s | None -> infinity
+  in
+  let trace = t.fwd_trace in
+  Front.Park
+    (fun parked ->
+      let w = { wid = id; wjob = job; deadline; parked; trace; ctx; side = None } in
+      t.waits <- t.waits + 1;
+      forward_wait t w;
+      (* the client left: closing the side connection releases the
+         shard's parked entry too *)
+      fun () ->
+        t.waits <- t.waits - 1;
+        Option.iter Shard.close_side (end_side t w))
 
 let handle_stats t =
   let shard_stats (name, _) =
@@ -264,6 +400,8 @@ let handle_stats t =
               J.List (List.map (fun s -> J.String s) (Ring.shards t.ring)) );
             ("vnodes", J.Int (Ring.vnodes t.ring));
           ] );
+      ( "jobs",
+        J.Obj [ ("tracked", J.Int (Hashtbl.length t.jobs)); ("retain", J.Int t.retain) ] );
       ("shards", J.Obj (List.map shard_stats t.cfg.shards));
       ("snapshot", Obs.json_of_snapshot (Obs.snapshot ()));
     ]
@@ -292,42 +430,38 @@ let handle_metrics t =
   Buffer.add_string buf (Obs.to_prometheus ~namespace:"topoguard" (Obs.snapshot ()));
   Front.ok [ ("metrics", J.String (Buffer.contents buf)) ]
 
-let handle_request t (req : P.request) =
+let handle_request t ctx (req : P.request) =
   Obs.Counter.incr c_requests;
+  (* applied after the verb ran, so [last_shard] is the routed one *)
+  let reply resp =
+    Front.Reply (routed ~shard:t.last_shard ~fwd:t.fwd_trace ~ctx resp)
+  in
   match req with
   | P.Submit s ->
-    if Front.draining t.front then Front.err "draining" else handle_submit t s
+    reply (if Front.draining t.front then Front.err "draining" else handle_submit t s)
   | P.Submit_batch items ->
-    if Front.draining t.front then Front.err "draining" else handle_batch t items
-  | P.Status id -> forward_job t id (fun rid -> P.Status rid)
-  | P.Result id -> forward_job t id (fun rid -> P.Result rid)
-  | P.Cancel id -> forward_job t id (fun rid -> P.Cancel rid)
-  | P.Sync _ -> Front.err "the coordinator holds no store; sync a shard directly"
-  | P.Stats -> handle_stats t
-  | P.Metrics -> handle_metrics t
+    reply (if Front.draining t.front then Front.err "draining" else handle_batch t items)
+  | P.Status id -> reply (forward_job t id (fun rid -> P.Status rid))
+  | P.Result id -> reply (forward_job t id (fun rid -> P.Result rid))
+  | P.Cancel id -> reply (forward_job t id (fun rid -> P.Cancel rid))
+  | P.Wait (id, timeout) -> (
+    match Hashtbl.find_opt t.jobs id with
+    | None -> reply (Front.err (Printf.sprintf "unknown job %d" id))
+    | Some job -> park_wait t ctx id job timeout)
+  | P.Sync _ -> reply (Front.err "the coordinator holds no store; sync a shard directly")
+  | P.Stats -> reply (handle_stats t)
+  | P.Metrics -> reply (handle_metrics t)
   | P.Shutdown ->
     (* the shards get the word as the drain tears down, below *)
     Front.drain t.front;
-    Front.ok [ ("draining", J.Bool true) ]
+    reply (Front.ok [ ("draining", J.Bool true) ])
 
-(* the forwarded context carries the coordinator's own span id as the
-   new parent; the span and the access log name the routed shard *)
 let handle t ctx parsed =
   t.last_shard <- None;
   t.fwd_trace <- Option.map (fun (id, _) -> (id, Obs.Trace.new_span_id ())) ctx;
-  let resp =
-    match parsed with Error e -> Front.err e | Ok req -> handle_request t req
-  in
-  let shard = Option.to_list t.last_shard in
-  {
-    Front.resp;
-    span_args =
-      List.map (fun s -> ("shard", s)) shard
-      @ List.map (fun (_, span) -> ("span", span)) (Option.to_list t.fwd_trace);
-    log_fields =
-      List.map (fun s -> ("shard", J.String s)) shard
-      @ List.map (fun (id, _) -> ("trace", J.String id)) (Option.to_list ctx);
-  }
+  match parsed with
+  | Error e -> Front.Reply (routed ~shard:None ~fwd:t.fwd_trace ~ctx (Front.err e))
+  | Ok req -> handle_request t ctx req
 
 let run (cfg : config) =
   let names = List.map fst cfg.shards in
@@ -352,6 +486,11 @@ let run (cfg : config) =
           ring = Ring.create ~vnodes:cfg.vnodes names;
           shards;
           jobs = Hashtbl.create 256;
+          retired = Queue.create ();
+          retain =
+            List.length names
+            * (Serve.Server.default_config ~socket_path:"").Serve.Server.max_terminal_jobs;
+          waits = 0;
           next_id = 1;
           front;
           fwd_trace = None;
@@ -361,7 +500,7 @@ let run (cfg : config) =
       log t "coordinator on %s routing to %d shard(s)"
         (Serve.Transport.endpoint_to_string cfg.listen)
         (List.length names);
-      Front.serve front ~handle:(handle t) ();
+      Front.serve front ~handle:(handle t) ~finished:(fun () -> t.waits = 0) ();
       (* drain: the shutdown verb and SIGTERM both end up here *)
       Hashtbl.iter
         (fun _ sh ->

@@ -29,4 +29,30 @@ val mark_dead : t -> unit
 val revive : t -> unit
 
 val close : t -> unit
-(** Drop the connection (the shard stays alive for a future redial). *)
+(** Drop the connection and the idle side connections (the shard stays
+    alive for a future redial). *)
+
+(** {2 Side connections}
+
+    One per parked [wait], so the main connection never waits on a job
+    and the coordinator's select loop drives the reply. *)
+
+type side
+
+val side_fd : side -> Unix.file_descr
+
+val side_send : t -> Obs.Json.t -> (side, string) result
+(** Write one request on an idle side connection (a stale one is
+    dropped for the next) or a freshly dialed one.  [Error] = the shard
+    is unreachable, and now marked dead. *)
+
+val side_read :
+  side -> [ `Reply of Obs.Json.t | `Pending | `Failed of string ]
+(** One non-blocking read: the reply once its line is complete,
+    [`Pending] before, [`Failed] on a transport error (the shard died)
+    or a malformed reply. *)
+
+val side_idle : t -> side -> unit
+(** Return a side connection whose reply was read, for reuse. *)
+
+val close_side : side -> unit

@@ -34,18 +34,17 @@ let request ?trace t req =
 let submit ?trace t s = request ?trace t (Protocol.Submit s)
 let submit_batch ?trace t items = request ?trace t (Protocol.Submit_batch items)
 
-(* jittered exponential backoff: the poll interval grows 1.6x per round
-   with a uniform ±25% jitter (so a fleet of clients polling one server
-   desynchronises), capped at [max_interval] *)
+(* a uniform ±25% jitter on a retry_after sleep, so a fleet of clients
+   rejected together does not come back together *)
 let backoff_state = lazy (Random.State.make_self_init ())
 
 let jitter v =
   let st = Lazy.force backoff_state in
   v *. (0.75 +. Random.State.float st 0.5)
 
-(* every second a client spends voluntarily asleep between polls (or on
-   a queue-full retry) lands here, so a load report can split
-   client-side waiting from server latency *)
+(* every second a client spends voluntarily asleep on a queue-full retry
+   lands here, so a load report can split client-side waiting from
+   server latency; [await] never sleeps *)
 let h_backoff = Obs.Histogram.make "client.await.backoff.seconds"
 
 let backoff_sleep seconds =
@@ -58,30 +57,28 @@ let retry_after_of resp =
   | Some (J.Int s) when s > 0 -> Some (float_of_int s)
   | _ -> None
 
-let await t ~id ?(poll_interval = 0.02) ?(max_interval = 0.5) ?(timeout = 600.)
-    () =
+(* one blocking [wait] per round, carrying what is left of the timeout:
+   the server answers when the job ends (with the result, when done), so
+   a second round only follows a server-side timeout *)
+let await t ~id ?poll_interval:_ ?max_interval:_ ?(timeout = 600.) () =
   let deadline = Unix.gettimeofday () +. timeout in
-  let rec loop interval =
-    if Unix.gettimeofday () > deadline then Error "await: timed out"
+  let rec loop () =
+    let remaining = deadline -. Unix.gettimeofday () in
+    if remaining <= 0. then Error "await: timed out"
     else
-      match request t (Protocol.Status id) with
+      match request t (Protocol.Wait (id, Some remaining)) with
       | Error e -> Error e
       | Ok resp -> (
         match J.member "status" resp with
-        | Some (J.String ("queued" | "running")) ->
-          backoff_sleep (jitter (Float.min interval max_interval));
-          loop (Float.min (interval *. 1.6) max_interval)
-        | Some (J.String "done") -> (
-          match request t (Protocol.Result id) with
-          | Error e -> Error e
-          | Ok r -> Ok ("done", J.member "result" r))
+        | Some (J.String ("queued" | "running")) -> loop ()
+        | Some (J.String "done") -> Ok ("done", J.member "result" resp)
         | Some (J.String terminal) -> Ok (terminal, None)
         | _ -> (
           match J.member "error" resp with
           | Some (J.String e) -> Error e
-          | _ -> Error "await: malformed status response"))
+          | _ -> Error "await: malformed wait response"))
   in
-  loop poll_interval
+  loop ()
 
 (* a queue-full rejection carries ["retry_after"]: honour it (sleeping
    what the server asked, jittered) instead of hammering the socket *)

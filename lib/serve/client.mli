@@ -46,9 +46,11 @@ val submit_retry :
   ?trace:string * string ->
   t -> Protocol.submit -> ?timeout:float -> unit -> (Obs.Json.t, string) result
 (** {!submit}, but a queue-full rejection (["retry_after"] present) is
-    retried after sleeping the server-requested interval (jittered)
+    retried after sleeping the server-requested interval (±25% jitter)
     instead of being returned — until acceptance, a different error, or
-    [timeout] seconds (default 60) elapse. *)
+    [timeout] seconds (default 60) elapse.  Each sleep is recorded in
+    the [client.await.backoff.seconds] histogram, so load reports can
+    split client-side waiting from server latency. *)
 
 val await :
   t ->
@@ -58,15 +60,13 @@ val await :
   ?timeout:float ->
   unit ->
   (string * Obs.Json.t option, string) result
-(** Poll [status] until the job leaves the queued/running states (or
-    [timeout] seconds elapse — default 600); returns the terminal status
-    string and, for ["done"], the result object.  Polling backs off
-    exponentially from [poll_interval] (default 20 ms, growing 1.6x per
-    round with ±25% jitter) up to [max_interval] (default 0.5 s), so a
-    fleet of waiting clients neither hammers the server nor
-    synchronises.  Every voluntary sleep (here and in {!submit_retry})
-    is recorded in the [client.await.backoff.seconds] histogram, so load
-    reports can split client-side waiting from server latency. *)
+(** Block until the job leaves the queued/running states (or [timeout]
+    seconds elapse — default 600); returns the terminal status string
+    and, for ["done"], the result object.  Each round is one [wait]
+    request carrying the remaining timeout, which the server answers
+    when the job ends: no sleeps, no [status] polling.
+    [poll_interval] and [max_interval] are accepted and ignored (there
+    is no poll schedule any more). *)
 
 val sync :
   t -> ranges:(int * int) list -> ((string * string) list, string) result

@@ -31,7 +31,27 @@ type reply = {
 
 let reply resp = { resp; span_args = []; log_fields = [] }
 
-type conn = { fd : Unix.file_descr; split : Protocol.Frame.splitter }
+(* a connection with a parked request dispatches no further line until
+   the parked one is answered, so responses leave in request order *)
+type conn = {
+  fd : Unix.file_descr;
+  split : Protocol.Frame.splitter;
+  mutable parked : parked option;
+  mutable closed : bool;
+}
+
+(* a request whose reply is deferred: what the envelope needs, kept
+   until {!answer} writes the reply *)
+and parked = {
+  conn : conn;
+  rid : string;
+  verb : string;
+  ctx : (string * string) option;
+  t0 : float;
+  mutable release : unit -> unit;
+}
+
+type outcome = Reply of reply | Park of (parked -> unit -> unit)
 
 type t = {
   door : door;
@@ -43,6 +63,10 @@ type t = {
   access_log : out_channel option;
   mutable listener : Unix.file_descr option;
   mutable conns : conn list;
+  mutable resume : conn list;  (* answered parked requests, lines pending *)
+  mutable watched : (Unix.file_descr * (unit -> unit)) list;
+  wake_r : Unix.file_descr;
+  wake_w : Unix.file_descr;
   chunk : Bytes.t;
   draining : bool Atomic.t;
   mutable next_rid : int;
@@ -91,18 +115,25 @@ let open_ door ~endpoint ~max_line ~access_log ~trace ~verbose ~log_prefix =
       let prev_term =
         Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> Atomic.set draining true))
       in
+      (* the self-pipe behind [wake]: a byte on it ends the select *)
+      let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+      Unix.set_nonblock wake_r;
+      Unix.set_nonblock wake_w;
       Ok
         { door; endpoint; max_line; verbose; log_prefix; trace; access_log;
-          listener = Some listener; conns = []; chunk = Bytes.create 65536;
-          draining; next_rid = 1; prev_term })
+          listener = Some listener; conns = []; resume = []; watched = [];
+          wake_r; wake_w; chunk = Bytes.create 65536; draining; next_rid = 1;
+          prev_term })
 
 (* ---- the request envelope ---- *)
 
-let handle_line t handle line =
-  let t0 = now () in
-  let rid, verb, ctx, r =
+(* run the handler under the request's trace context; the request id is
+   the client's, echoed verbatim, or a generated one: either way the
+   access log and the response can be joined on it *)
+let begin_request t handle line =
+  let rid, verb, ctx, outcome =
     match J.of_string line with
-    | Error e -> (None, "invalid", None, reply (err ("bad json: " ^ e)))
+    | Error e -> (None, "invalid", None, Reply (reply (err ("bad json: " ^ e))))
     | Ok j ->
       (* installed for the whole handling, so the request span and
          everything the handler records carry the originating trace id *)
@@ -121,8 +152,6 @@ let handle_line t handle line =
         Obs.Trace.with_context ctx (fun () ->
             handle ctx (Protocol.request_of_json j)) )
   in
-  (* the client's id, echoed verbatim, or a generated one: either way
-     the access log and the response can be joined on it *)
   let rid =
     match rid with
     | Some r -> r
@@ -131,6 +160,12 @@ let handle_line t handle line =
       t.next_rid <- t.next_rid + 1;
       r
   in
+  (rid, verb, ctx, outcome)
+
+(* the envelope, applied when the reply is written: for a parked
+   request the latency, span and access-log line include the parked
+   time *)
+let finish t ~rid ~verb ~ctx ~t0 r =
   let resp =
     match r.resp with
     | J.Obj fields ->
@@ -166,32 +201,65 @@ let send conn json =
   try Protocol.Frame.write_line conn.fd (J.to_string json)
   with Unix.Unix_error ((Unix.EPIPE | Unix.ECONNRESET), _, _) -> raise Closed
 
+(* a connection closing with a parked request releases it, so whoever
+   filed the request drops it *)
 let close_conn t c =
-  (try Unix.close c.fd with Unix.Unix_error _ -> ());
-  t.conns <- List.filter (fun c' -> c' != c) t.conns
+  if not c.closed then begin
+    c.closed <- true;
+    (try Unix.close c.fd with Unix.Unix_error _ -> ());
+    t.conns <- List.filter (fun c' -> c' != c) t.conns;
+    match c.parked with
+    | Some p ->
+      c.parked <- None;
+      p.release ()
+    | None -> ()
+  end
 
-(* answer every complete line the last read finished.  A line past the
-   cap — complete or still accumulating — is either a protocol error or
-   hostile: reply once and close, since the stream cannot be
-   resynchronised *)
+let answer t p r =
+  let c = p.conn in
+  match c.parked with
+  | Some p' when p' == p ->
+    c.parked <- None;
+    let resp = finish t ~rid:p.rid ~verb:p.verb ~ctx:p.ctx ~t0:p.t0 r in
+    (match send c resp with
+    | () -> t.resume <- c :: t.resume
+    | exception Closed -> close_conn t c)
+  | _ -> () (* released, or answered already *)
+
+(* answer every complete line the last read finished, up to the first
+   parked request.  A line past the cap — complete or still
+   accumulating — is either a protocol error or hostile: reply once and
+   close, since the stream cannot be resynchronised *)
 let rec dispatch t handle conn =
-  match Protocol.Frame.next conn.split with
-  | `Partial -> ()
-  | `Oversized ->
-    Obs.Counter.incr c_oversized;
-    let msg = Printf.sprintf "line exceeds %d bytes" t.max_line in
-    send conn (J.Obj [ ("ok", J.Bool false); ("error", J.String msg); ("v", J.Int Protocol.version) ]);
-    raise Closed
-  | `Line line ->
-    if String.trim line <> "" then send conn (handle_line t handle line);
-    dispatch t handle conn
+  if conn.parked = None && not conn.closed then
+    match Protocol.Frame.next conn.split with
+    | `Partial -> ()
+    | `Oversized ->
+      Obs.Counter.incr c_oversized;
+      let msg = Printf.sprintf "line exceeds %d bytes" t.max_line in
+      send conn (J.Obj [ ("ok", J.Bool false); ("error", J.String msg); ("v", J.Int Protocol.version) ]);
+      raise Closed
+    | `Line line when String.trim line = "" -> dispatch t handle conn
+    | `Line line ->
+      let t0 = now () in
+      (match begin_request t handle line with
+      | rid, verb, ctx, Reply r -> send conn (finish t ~rid ~verb ~ctx ~t0 r)
+      | rid, verb, ctx, Park file ->
+        let p = { conn; rid; verb; ctx; t0; release = ignore } in
+        conn.parked <- Some p;
+        let release = Obs.Trace.with_context ctx (fun () -> file p) in
+        p.release <- release);
+      dispatch t handle conn
+
+let dispatch_or_close t handle conn =
+  try dispatch t handle conn with Closed -> close_conn t conn
 
 let read_conn t handle conn =
   match Unix.read conn.fd t.chunk 0 (Bytes.length t.chunk) with
   | 0 -> close_conn t conn
-  | n -> (
+  | n ->
     Protocol.Frame.feed conn.split t.chunk 0 n;
-    try dispatch t handle conn with Closed -> close_conn t conn)
+    dispatch_or_close t handle conn
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.EINTR), _, _) -> ()
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     close_conn t conn
@@ -201,7 +269,9 @@ let rec accept_all t l =
   | fd, _ ->
     Unix.set_nonblock fd;
     t.conns <-
-      { fd; split = Protocol.Frame.splitter ~max_line:t.max_line () } :: t.conns;
+      { fd; split = Protocol.Frame.splitter ~max_line:t.max_line ();
+        parked = None; closed = false }
+      :: t.conns;
     accept_all t l
   | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> accept_all t l
@@ -213,6 +283,25 @@ let close_listener t =
     t.listener <- None
   | None -> ()
 
+(* any domain: one byte on the self-pipe; a full pipe already holds a
+   pending wake *)
+let wake t =
+  try ignore (Unix.single_write t.wake_w (Bytes.make 1 '!') 0 1)
+  with Unix.Unix_error _ -> ()
+
+let drain_wakes t =
+  let buf = Bytes.create 64 in
+  let rec go () =
+    match Unix.read t.wake_r buf 0 (Bytes.length buf) with
+    | 0 -> ()
+    | _ -> go ()
+    | exception Unix.Unix_error _ -> ()
+  in
+  go ()
+
+let watch t fd f = t.watched <- (fd, f) :: t.watched
+let unwatch t fd = t.watched <- List.filter (fun (fd', _) -> fd' <> fd) t.watched
+
 let serve t ~handle ?(tick = ignore) ?(finished = fun () -> true) () =
   while not (draining t && finished ()) do
     (* entering drain: stop accepting new connections, keep answering
@@ -221,19 +310,38 @@ let serve t ~handle ?(tick = ignore) ?(finished = fun () -> true) () =
       close_listener t;
       log t "draining: listener closed"
     end;
-    let read_fds = Option.to_list t.listener @ List.map (fun c -> c.fd) t.conns in
+    let watched = t.watched in
+    let read_fds =
+      (t.wake_r :: Option.to_list t.listener)
+      @ List.map (fun c -> c.fd) t.conns
+      @ List.map fst watched
+    in
     let readable, _, _ =
-      match Unix.select read_fds [] [] 0.05 with
+      match Unix.select read_fds [] [] (if t.resume = [] then 0.05 else 0.) with
       | r -> r
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
     in
+    if List.mem t.wake_r readable then drain_wakes t;
+    (* before dispatching: a request sees every job the workers have
+       finished, not the state of the last tick *)
+    tick ();
     (match t.listener with
     | Some l when List.mem l readable -> accept_all t l
     | _ -> ());
     List.iter
-      (fun conn -> if List.mem conn.fd readable then read_conn t handle conn)
+      (fun conn ->
+        if (not conn.closed) && List.mem conn.fd readable then read_conn t handle conn)
       t.conns;
-    tick ()
+    (* a callback may unwatch (and close) another watched fd, whose
+       number a later dial can reuse: run only those still watched *)
+    List.iter
+      (fun ((fd, f) as w) ->
+        if List.mem fd readable && List.exists (fun w' -> w' == w) t.watched then f ())
+      watched;
+    tick ();
+    let resume = List.rev t.resume in
+    t.resume <- [];
+    List.iter (dispatch_or_close t handle) resume
   done;
   List.iter (fun c -> try Unix.close c.fd with Unix.Unix_error _ -> ()) t.conns;
   t.conns <- [];
@@ -248,4 +356,5 @@ let close t =
     log t "trace written to %s" path
   | None -> ());
   (match t.access_log with Some oc -> close_out oc | None -> ());
+  List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) [ t.wake_r; t.wake_w ];
   Sys.set_signal Sys.sigterm t.prev_term

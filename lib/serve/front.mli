@@ -1,17 +1,25 @@
 (** The front door of a protocol process: the shard {!Server} and the
     fleet's [Cluster.Coordinator] both run this one loop.  It owns
-    listening and non-blocking accept, the [select] loop (50 ms ticks),
-    per-connection framing through {!Protocol.Frame} (a line past the
-    cap is answered once and the connection closed, counted in
-    [serve.requests.oversized]), writing responses, the request
-    envelope, SIGTERM as a drain request, and the trace file and access
-    log.
+    listening and non-blocking accept, the [select] loop (50 ms ticks,
+    ended early by {!wake}), per-connection framing through
+    {!Protocol.Frame} (a line past the cap is answered once and the
+    connection closed, counted in [serve.requests.oversized]), writing
+    responses, the request envelope, parked requests, SIGTERM as a drain
+    request, and the trace file and access log.
 
     The envelope: every response gets a ["request_id"] (the client's, or
     a generated one) and the protocol ["v"]; every request is timed into
     the [NAME.request.seconds] histogram, recorded as a [NAME.request]
     complete span under its trace context, and written as one
-    [kind = "request"] access-log line. *)
+    [kind = "request"] access-log line.
+
+    Parking: a handler may defer a reply ({!Park}) and {!answer} it from
+    a later loop turn — when a job finishes, a timeout expires, or a
+    watched descriptor delivers it.  The envelope is applied when the
+    reply is written, so its latency includes the parked time.  A
+    connection dispatches no further line while it has a parked request
+    (responses stay in request order), and one that closes while parked
+    releases the request. *)
 
 type door
 
@@ -38,6 +46,17 @@ type reply = {
 val reply : Obs.Json.t -> reply
 (** No extra span args or log fields. *)
 
+type parked
+(** A request whose reply is deferred. *)
+
+type outcome =
+  | Reply of reply
+  | Park of (parked -> unit -> unit)
+      (** [Park file]: Front calls [file p] at once, which files [p]
+          wherever its answer will come from and returns the function
+          that un-files it — called instead of {!answer} if the
+          connection closes first. *)
+
 type t
 
 val open_ :
@@ -62,21 +81,39 @@ val log_access : t -> (string * Obs.Json.t) list -> unit
 val draining : t -> bool
 val drain : t -> unit
 
+val answer : t -> parked -> reply -> unit
+(** Write a parked request's reply, with its envelope, and resume its
+    connection's dispatch.  A no-op once the request was released or
+    answered.  Event-loop domain only. *)
+
+val wake : t -> unit
+(** End the current (or next) [select] at once, so [tick] runs now.
+    Safe from any domain: a byte on a self-pipe in the select set. *)
+
+val watch : t -> Unix.file_descr -> (unit -> unit) -> unit
+(** Add [fd] to the select set; the callback runs on the loop whenever
+    [fd] is readable, until {!unwatch}.  The callback must not block:
+    one non-blocking read per call. *)
+
+val unwatch : t -> Unix.file_descr -> unit
+
 val serve :
   t ->
-  handle:((string * string) option -> (Protocol.request, string) result -> reply) ->
+  handle:((string * string) option -> (Protocol.request, string) result -> outcome) ->
   ?tick:(unit -> unit) ->
   ?finished:(unit -> bool) ->
   unit ->
   unit
 (** Answer requests until {!draining} and [finished ()] (default: at
     once).  [handle ctx req] runs under the request's trace context;
-    [tick] runs after every loop turn.  While draining but not finished,
-    the listener is closed and open connections are still answered.  On
-    return the connections and listener are closed and a Unix-domain
-    socket file is removed. *)
+    [tick] runs twice every loop turn: before any request is dispatched
+    (so each sees the state the workers left) and after.  While draining
+    but not finished, the listener is closed and open connections are
+    still answered.  On return the connections and listener are closed
+    and a Unix-domain socket file is removed. *)
 
 val close : t -> unit
-(** Write the trace file, close the access log, restore the previous
-    SIGTERM handler.  Call after the process's own tear-down, so the
+(** Write the trace file, close the access log and the wake pipe,
+    restore the previous SIGTERM handler.  Call after the process's own
+    tear-down (worker domains joined, so none can still {!wake}), so the
     trace holds everything it recorded. *)

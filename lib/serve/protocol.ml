@@ -152,6 +152,7 @@ type request =
   | Submit_batch of submit list
   | Status of int
   | Result of int
+  | Wait of int * float option
   | Cancel of int
   | Sync of (int * int) list
   | Stats
@@ -183,6 +184,10 @@ let json_of_request = function
       [ ("items", J.List (List.map (fun s -> J.Obj (submit_fields s)) items)) ]
   | Status id -> with_op "status" [ ("id", J.Int id) ]
   | Result id -> with_op "result" [ ("id", J.Int id) ]
+  | Wait (id, timeout) ->
+    with_op "wait"
+      (("id", J.Int id)
+      :: List.map (fun s -> ("timeout", J.Float s)) (Option.to_list timeout))
   | Cancel id -> with_op "cancel" [ ("id", J.Int id) ]
   | Sync ranges ->
     with_op "sync"
@@ -290,6 +295,13 @@ let request_of_json j =
   | "result" ->
     let* id = int_field "id" j in
     Ok (Result id)
+  | "wait" -> (
+    let* id = int_field "id" j in
+    match J.member "timeout" j with
+    | None -> Ok (Wait (id, None))
+    | Some (J.Float s) -> Ok (Wait (id, Some s))
+    | Some (J.Int n) -> Ok (Wait (id, Some (float_of_int n)))
+    | Some _ -> Error "field \"timeout\" must be a number")
   | "cancel" ->
     let* id = int_field "id" j in
     Ok (Cancel id)

@@ -75,6 +75,12 @@ type request =
           error) in submission order *)
   | Status of int
   | Result of int
+  | Wait of int * float option
+      (** [Wait (id, timeout)]: answered once the job reaches a terminal
+          state, like [Result] (the outcome object for ["done"]), or after
+          [timeout] seconds with the job's current status.  [None] waits
+          for the terminal state however long it takes; [<= 0] answers at
+          once. *)
   | Cancel of int
   | Sync of (int * int) list
       (** journal warm-start pull: return every resident [job:]/[verify:]

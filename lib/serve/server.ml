@@ -102,7 +102,11 @@ type job = {
   mutable result : J.t option;
   cancel : bool Atomic.t;
   deadline : float Atomic.t;
-  mutable future : J.t Pool.Future.t option;
+  finished : (J.t, exn) result option Atomic.t;
+      (* the worker's outcome, published before it wakes the loop *)
+  mutable waiters : (Front.parked * float) list;
+      (* parked [wait] requests and their deadlines, answered when the
+         job reaches a terminal state or a deadline passes *)
   trace : (string * string) option;
       (* the submitting request's trace context, re-installed around the
          worker-domain run so solver spans carry the originating id *)
@@ -219,6 +223,11 @@ type t = {
 let log t fmt = Front.log t.front fmt
 let now () = Obs.Clock.now ()
 
+let reply_of resp =
+  (* the access log's request line names the job a response is about *)
+  let opt name = match J.member name resp with Some v -> [ (name, v) ] | None -> [] in
+  { (Front.reply resp) with Front.log_fields = opt "id" @ opt "key" @ opt "cached" }
+
 (* terminal jobs stay queryable by id for a while, but a resident server
    must not grow without bound: only the newest cfg.max_terminal_jobs are
    retained (a status/result request for an evicted id reports it as
@@ -229,10 +238,30 @@ let remember_terminal t id =
     Hashtbl.remove t.jobs_tbl (Queue.pop t.terminal)
   done
 
+let job_status_json (j : job) =
+  let base =
+    [
+      ("id", J.Int j.id);
+      ("status", J.String (state_string j.state));
+      ("key", J.String j.key);
+    ]
+  in
+  match j.state with
+  | Failed e -> base @ [ ("error", J.String e) ]
+  | _ -> base
+
+(* the answer to [result], and to a [wait] when it ends *)
+let result_json (job : job) =
+  match (job.state, job.result) with
+  | Done, Some result -> Front.ok (job_status_json job @ [ ("result", result) ])
+  | Done, None -> Front.err "result missing"
+  | (Queued | Running | Failed _ | Cancelled | Timed_out), _ ->
+    Front.ok (job_status_json job)
+
 (* single bottleneck for a job reaching a terminal state: the wait and
    service histograms and the completed counter move in lockstep here
-   (the invariant behind the metrics cross-check), and the access log
-   gets its "job" record *)
+   (the invariant behind the metrics cross-check), the access log gets
+   its "job" record, and every parked [wait] on the job is answered *)
 let job_terminal t (job : job) ~wait ~service =
   Obs.Histogram.observe h_wait wait;
   Obs.Histogram.observe h_service service;
@@ -246,7 +275,10 @@ let job_terminal t (job : job) ~wait ~service =
       ("status", J.String (state_string job.state));
       ("queue_wait_s", J.Float wait);
       ("service_s", J.Float service);
-    ]
+    ];
+  let waiters = job.waiters in
+  job.waiters <- [];
+  List.iter (fun (p, _) -> Front.answer t.front p (reply_of (result_json job))) waiters
 
 let queue_depth t =
   Queue.fold
@@ -255,18 +287,6 @@ let queue_depth t =
       | Some j when j.state = Queued -> acc + 1
       | _ -> acc)
     0 t.pending
-
-let job_status_json (j : job) =
-  let base =
-    [
-      ("id", J.Int j.id);
-      ("status", J.String (state_string j.state));
-      ("key", J.String j.key);
-    ]
-  in
-  match j.state with
-  | Failed e -> base @ [ ("error", J.String e) ]
-  | _ -> base
 
 let handle_submit t (s : Protocol.submit) =
   if Front.draining t.front then Front.err "draining"
@@ -312,7 +332,8 @@ let handle_submit t (s : Protocol.submit) =
             result;
             cancel = Atomic.make false;
             deadline = Atomic.make infinity;
-            future = None;
+            finished = Atomic.make None;
+            waiters = [];
             trace = Obs.Trace.get_context ();
           }
         in
@@ -371,13 +392,18 @@ let handle_cancel t id =
       Front.ok (job_status_json job)
     | Done | Failed _ | Cancelled | Timed_out -> Front.ok (job_status_json job)
 
-let handle_result t id =
-  with_job t id @@ fun job ->
-    match (job.state, job.result) with
-    | Done, Some result -> Front.ok (job_status_json job @ [ ("result", result) ])
-    | Done, None -> Front.err "result missing"
-    | (Queued | Running | Failed _ | Cancelled | Timed_out), _ ->
-      Front.ok (job_status_json job)
+(* a wait on a job that is still queued or running parks until
+   [job_terminal] or the tick's [expire_waits] answers it; anything else
+   is answered like [result] *)
+let handle_wait t id timeout =
+  let deadline = match timeout with Some s -> now () +. s | None -> infinity in
+  match Hashtbl.find_opt t.jobs_tbl id with
+  | Some job when (job.state = Queued || job.state = Running) && deadline > now () ->
+    Front.Park
+      (fun p ->
+        job.waiters <- (p, deadline) :: job.waiters;
+        fun () -> job.waiters <- List.filter (fun (p', _) -> p' != p) job.waiters)
+  | _ -> Front.Reply (reply_of (with_job t id result_json))
 
 let stats_json t =
   Front.ok
@@ -477,32 +503,33 @@ let handle_sync t ranges =
 
 let handle_request t (req : Protocol.request) =
   Obs.Counter.incr c_requests;
+  let reply resp = Front.Reply (reply_of resp) in
   match req with
-  | Protocol.Submit s -> handle_submit t s
+  | Protocol.Submit s -> reply (handle_submit t s)
   | Protocol.Submit_batch items ->
     (* one connection, many scenarios: each item gets its own submit
        response (id/cached or error) in submission order; the batch
        itself only fails on transport problems *)
     Obs.Counter.add c_batch_items (List.length items);
-    Front.ok
-      [ ("results", J.List (List.map (fun s -> handle_submit t s) items)) ]
-  | Protocol.Sync ranges -> handle_sync t ranges
-  | Protocol.Status id -> with_job t id (fun job -> Front.ok (job_status_json job))
-  | Protocol.Result id -> handle_result t id
-  | Protocol.Cancel id -> handle_cancel t id
-  | Protocol.Stats -> stats_json t
-  | Protocol.Metrics -> Front.ok [ ("metrics", J.String (metrics_text t)) ]
+    reply
+      (Front.ok
+         [ ("results", J.List (List.map (fun s -> handle_submit t s) items)) ])
+  | Protocol.Sync ranges -> reply (handle_sync t ranges)
+  | Protocol.Status id ->
+    reply (with_job t id (fun job -> Front.ok (job_status_json job)))
+  | Protocol.Result id -> reply (with_job t id result_json)
+  | Protocol.Wait (id, timeout) -> handle_wait t id timeout
+  | Protocol.Cancel id -> reply (handle_cancel t id)
+  | Protocol.Stats -> reply (stats_json t)
+  | Protocol.Metrics -> reply (Front.ok [ ("metrics", J.String (metrics_text t)) ])
   | Protocol.Shutdown ->
     Front.drain t.front;
-    Front.ok [ ("draining", J.Bool true) ]
+    reply (Front.ok [ ("draining", J.Bool true) ])
 
-(* the access log's request line names the job a response is about *)
 let handle t _ctx parsed =
-  let resp =
-    match parsed with Error e -> Front.err e | Ok req -> handle_request t req
-  in
-  let opt name = match J.member name resp with Some v -> [ (name, v) ] | None -> [] in
-  { (Front.reply resp) with Front.log_fields = opt "id" @ opt "key" @ opt "cached" }
+  match parsed with
+  | Error e -> Front.Reply (reply_of (Front.err e))
+  | Ok req -> handle_request t req
 
 (* ---- scheduling ---- *)
 
@@ -525,17 +552,27 @@ let start_ready_jobs t =
         ~ts:job.submitted_at ~dur:wait "serve.job.queued";
       (* the pool always has >= 2 worker domains (see [run]), and we
          never submit more than cfg.jobs concurrently, so this cannot
-         execute on the event-loop domain *)
-      job.future <-
-        Some
-          (Pool.async t.pool (fun () ->
-               (* re-install the submitting request's trace context on
-                  the worker domain: the run span and every solver span
-                  under it (lp/smt minimize) inherit the originating id *)
-               Obs.Trace.with_context job.trace (fun () ->
-                   Obs.Trace.with_span "serve.job.run"
-                     ~args:[ ("id", string_of_int job.id); ("key", job.key) ]
-                     (fun () -> execute ~store:t.store job))));
+         execute on the event-loop domain.  The outcome is published on
+         the job before the wake: the pool fills its own future only
+         after this closure returns, too late for the reap the wake
+         triggers *)
+      ignore
+        (Pool.async t.pool (fun () ->
+             (* re-install the submitting request's trace context on the
+                worker domain: the run span and every solver span under
+                it (lp/smt minimize) inherit the originating id *)
+             let outcome =
+               match
+                 Obs.Trace.with_context job.trace (fun () ->
+                     Obs.Trace.with_span "serve.job.run"
+                       ~args:[ ("id", string_of_int job.id); ("key", job.key) ]
+                       (fun () -> execute ~store:t.store job))
+               with
+               | result -> Ok result
+               | exception e -> Error e
+             in
+             Atomic.set job.finished (Some outcome);
+             Front.wake t.front));
       t.running <- id :: t.running;
       log t "job %d started (timeout %.3fs)" id job.timeout
     | _ -> () (* cancelled while queued: already accounted *)
@@ -548,41 +585,52 @@ let reap_finished t =
       match Hashtbl.find_opt t.jobs_tbl id with
       | None -> ()
       | Some job -> (
-        match job.future with
-        | None -> ()
-        | Some fut -> (
-          match Pool.Future.poll fut with
-          | `Pending -> still_running := id :: !still_running
-          | `Done | `Failed ->
-            job.future <- None;
-            let service = now () -. job.started_at in
-            (match Pool.Future.await fut with
-            | result ->
-              job.state <- Done;
-              job.result <- Some result;
-              Store.Cache.add t.store ~key:job.key ~value:(J.to_string result);
-              Obs.Counter.incr c_done;
-              log t "job %d done" job.id
-            | exception I.Interrupted ->
-              if Atomic.get job.cancel then begin
-                job.state <- Cancelled;
-                Obs.Counter.incr c_cancelled;
-                log t "job %d cancelled" job.id
-              end
-              else begin
-                job.state <- Timed_out;
-                Obs.Counter.incr c_timeout;
-                log t "job %d timed out" job.id
-              end
-            | exception e ->
-              job.state <- Failed (Printexc.to_string e);
-              Obs.Counter.incr c_failed;
-              log t "job %d failed: %s" job.id (Printexc.to_string e));
-            job_terminal t job
-              ~wait:(job.started_at -. job.submitted_at)
-              ~service)))
+        match Atomic.get job.finished with
+        | None -> still_running := id :: !still_running
+        | Some outcome ->
+          let service = now () -. job.started_at in
+          (match outcome with
+          | Ok result ->
+            job.state <- Done;
+            job.result <- Some result;
+            Store.Cache.add t.store ~key:job.key ~value:(J.to_string result);
+            Obs.Counter.incr c_done;
+            log t "job %d done" job.id
+          | Error I.Interrupted ->
+            if Atomic.get job.cancel then begin
+              job.state <- Cancelled;
+              Obs.Counter.incr c_cancelled;
+              log t "job %d cancelled" job.id
+            end
+            else begin
+              job.state <- Timed_out;
+              Obs.Counter.incr c_timeout;
+              log t "job %d timed out" job.id
+            end
+          | Error e ->
+            job.state <- Failed (Printexc.to_string e);
+            Obs.Counter.incr c_failed;
+            log t "job %d failed: %s" job.id (Printexc.to_string e));
+          job_terminal t job
+            ~wait:(job.started_at -. job.submitted_at)
+            ~service))
     t.running;
   t.running <- !still_running
+
+(* a parked wait whose deadline passed is answered with the job's
+   current status; only queued and running jobs have waiters *)
+let expire_waits t =
+  let at = now () in
+  let expire id =
+    match Hashtbl.find_opt t.jobs_tbl id with
+    | Some job when job.waiters <> [] ->
+      let expired, live = List.partition (fun (_, d) -> d <= at) job.waiters in
+      job.waiters <- live;
+      List.iter (fun (p, _) -> Front.answer t.front p (reply_of (result_json job))) expired
+    | _ -> ()
+  in
+  Queue.iter expire t.pending;
+  List.iter expire t.running
 
 (* ---- warm start: pull this shard's key ranges from peer journals ---- *)
 
@@ -644,6 +692,7 @@ let run cfg =
       Front.serve front ~handle:(handle t)
         ~tick:(fun () ->
           reap_finished t;
+          expire_waits t;
           start_ready_jobs t)
         ~finished:(fun () -> t.running = [] && queue_depth t = 0)
         ();

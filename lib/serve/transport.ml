@@ -84,7 +84,13 @@ let listen ?(backlog = 16) endpoint =
 let dial endpoint =
   let connect fd addr label =
     match Unix.connect fd addr with
-    | () -> Ok fd
+    | () when addr <> Unix.getsockname fd -> Ok fd
+    | () ->
+      (* a TCP connect to an unlistened loopback port in the ephemeral
+         range can pick that very port as its source and connect to
+         itself: nothing is listening, whatever it looks like *)
+      Unix.close fd;
+      Error (Printf.sprintf "connect %s: connected to itself (nothing listening)" label)
     | exception Unix.Unix_error (e, _, _) ->
       Unix.close fd;
       Error (Printf.sprintf "connect %s: %s" label (Unix.error_message e))

@@ -1,8 +1,8 @@
 (* Tests for lib/cluster and the fleet-facing serve extensions: ring
    determinism / balance / minimal movement, protocol versioning, batch
    submit ordering, a TCP server roundtrip with oversized-line
-   rejection, and the peer journal sync that lets a cold shard rejoin
-   warm. *)
+   rejection, the peer journal sync that lets a cold shard rejoin warm,
+   and the coordinator's parked [wait] relay and bounded job table. *)
 
 module J = Obs.Json
 module P = Serve.Protocol
@@ -376,6 +376,113 @@ let server_tests =
             shutdown_server ca server_a));
   ]
 
+(* ---- the coordinator: parked waits, bounded job table ---- *)
+
+(* one shard with one worker behind a coordinator, all in-process *)
+let with_fleet name f =
+  let pid = Unix.getpid () in
+  let sock_s = tmp (Printf.sprintf "tg-%s-s-%d.sock" name pid) in
+  let sock_co = tmp (Printf.sprintf "tg-%s-co-%d.sock" name pid) in
+  let files = [ sock_s; sock_co ] in
+  List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files;
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) files)
+    (fun () ->
+      let shard =
+        Pool.detached (fun () -> Serve.Server.run (Serve.Server.default_config ~socket_path:sock_s))
+      in
+      Serve.Client.close (connect_retry (Serve.Transport.Unix_sock sock_s));
+      let coordinator =
+        Pool.detached (fun () ->
+            Cluster.Coordinator.run
+              (Cluster.Coordinator.default_config
+                 ~listen:(Serve.Transport.Unix_sock sock_co)
+                 ~shards:[ ("shard-0", Serve.Transport.Unix_sock sock_s) ]))
+      in
+      let co = Serve.Transport.Unix_sock sock_co in
+      let c = connect_retry co in
+      f co c;
+      (* the coordinator's drain tells the shard to shut down too *)
+      shutdown_server c coordinator;
+      match Pool.Future.await shard with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "shard exit: %s" e)
+
+let await_done c id =
+  match Serve.Client.await c ~id ~timeout:60. () with
+  | Ok ("done", Some _) -> ()
+  | Ok (st, _) -> Alcotest.failf "job %d ended as %s" id st
+  | Error e -> Alcotest.failf "await %d: %s" id e
+
+let coordinator_tests =
+  [
+    Alcotest.test_case "a parked wait never blocks other clients" `Slow
+      (fun () ->
+        with_fleet "park" @@ fun co c ->
+        let fast = submit_of ~increase:(Some "4") () in
+        await_done c (int_field "id" (expect_ok (Serve.Client.submit c fast)));
+        (* 57-bus state infection runs until cancelled; the deadline is
+           only the backstop of a coordinator that blocks *)
+        let slow =
+          {
+            (submit_of ~grid:(Grid.Spec.print (Grid.Test_systems.ieee 57)) ()) with
+            P.mode = "state";
+            base = "proportional";
+            single_line = false;
+            max_candidates = 200;
+            timeout = 5.;
+          }
+        in
+        let id_slow = int_field "id" (expect_ok (Serve.Client.submit c slow)) in
+        let a =
+          Pool.detached (fun () ->
+              let ca = connect_retry co in
+              let r = Serve.Client.await ca ~id:id_slow ~timeout:60. () in
+              Serve.Client.close ca;
+              r)
+        in
+        Unix.sleepf 0.3;
+        let t0 = Unix.gettimeofday () in
+        ignore (expect_ok (Serve.Client.request c P.Stats));
+        let r = expect_ok (Serve.Client.submit c fast) in
+        Alcotest.(check bool) "cached" true (bool_field "cached" r);
+        let res = expect_ok (Serve.Client.request c (P.Result (int_field "id" r))) in
+        Alcotest.(check bool) "result" true (J.member "result" res <> None);
+        let took = Unix.gettimeofday () -. t0 in
+        if took > 1. then Alcotest.failf "stats + cached submit + result took %.2fs" took;
+        ignore (expect_ok (Serve.Client.request c (P.Cancel id_slow)));
+        match Pool.Future.await a with
+        | Ok ("cancelled", None) -> ()
+        | Ok (st, _) -> Alcotest.failf "slow job ended as %s" st
+        | Error e -> Alcotest.failf "await slow: %s" e);
+    Alcotest.test_case "the job table keeps only the newest terminal jobs" `Slow
+      (fun () ->
+        with_fleet "cap" @@ fun _ c ->
+        let s = submit_of ~increase:(Some "5") () in
+        await_done c (int_field "id" (expect_ok (Serve.Client.submit c s)));
+        let table () =
+          match J.member "jobs" (expect_ok (Serve.Client.request c P.Stats)) with
+          | Some jobs -> (int_field "tracked" jobs, int_field "retain" jobs)
+          | None -> Alcotest.fail "coordinator stats missing jobs"
+        in
+        let _, retain = table () in
+        (* one shard retains the server default of terminal jobs *)
+        Alcotest.(check int) "retention" 1024 retain;
+        let last = ref 0 in
+        for _ = 1 to retain + 50 do
+          let r = expect_ok (Serve.Client.submit c s) in
+          if not (bool_field "cached" r) then Alcotest.fail "resubmission not cached";
+          last := int_field "id" r
+        done;
+        let tracked, _ = table () in
+        Alcotest.(check int) "tracked stays at the cap" retain tracked;
+        let res = expect_ok (Serve.Client.request c (P.Result !last)) in
+        Alcotest.(check bool) "newest id answers" true (J.member "result" res <> None);
+        match Serve.Client.request c (P.Result 1) with
+        | Ok resp -> Alcotest.(check bool) "oldest id forgotten" false (bool_field "ok" resp)
+        | Error e -> Alcotest.failf "result 1: %s" e);
+  ]
+
 (* ---- distributed tracing ---- *)
 
 let trace_tests =
@@ -590,5 +697,6 @@ let () =
       ("ring", ring_tests);
       ("protocol", version_tests);
       ("server", server_tests);
+      ("coordinator", coordinator_tests);
       ("trace", trace_tests);
     ]

@@ -1,7 +1,8 @@
 (* Tests for lib/serve: protocol encode/decode roundtrips, job-key
    determinism, and an in-process server (on a detached domain, over a
    temp socket) exercised through the client: submit, await, cached
-   resubmit, stats, cancel, shutdown, and the offline journal lookup. *)
+   resubmit, stats, cancel, shutdown, the offline journal lookup, and
+   the parked [wait] verb. *)
 
 module J = Obs.Json
 module P = Serve.Protocol
@@ -44,8 +45,8 @@ let protocol_tests =
         List.iter
           (fun req ->
             Alcotest.(check bool) "same" true (roundtrip req = req))
-          [ P.Status 7; P.Result 3; P.Cancel 12; P.Stats; P.Metrics;
-            P.Shutdown ]);
+          [ P.Status 7; P.Result 3; P.Wait (4, Some 2.5); P.Wait (5, None);
+            P.Cancel 12; P.Stats; P.Metrics; P.Shutdown ]);
     Alcotest.test_case "request_id extraction" `Quick (fun () ->
         Alcotest.(check (option string)) "present" (Some "abc")
           (P.request_id_of_json
@@ -68,6 +69,7 @@ let protocol_tests =
             J.Obj [ ("op", J.String "submit"); ("grid", J.String "x");
                     ("backend", J.String "quantum") ];
             J.Obj [ ("op", J.String "status") ];
+            J.Obj [ ("op", J.String "wait"); ("timeout", J.Float 1.) ];
           ]);
     Alcotest.test_case "job key ignores the timeout" `Quick (fun () ->
         let spec = Grid.Test_systems.case_study_1 () in
@@ -268,6 +270,161 @@ let connect_retry path =
       end
   in
   go 100
+
+let str_field name j =
+  match J.member name j with
+  | Some (J.String s) -> s
+  | _ -> Alcotest.failf "missing string field %S in %s" name (J.to_string j)
+
+(* a job that keeps the single worker busy until it is cancelled: 57-bus
+   state-infection analysis, with a per-job deadline as the backstop *)
+let slow_submit =
+  {
+    (submit_of 60.) with
+    P.grid = Grid.Spec.print (Grid.Test_systems.ieee 57);
+    mode = "state";
+    base = "proportional";
+    single_line = false;
+    max_candidates = 200;
+  }
+
+(* a default server (one worker) on a fresh socket, shut down after [f] *)
+let with_server name f =
+  let socket = tmp (Printf.sprintf "tg-serve-%s-%d.sock" name (Unix.getpid ())) in
+  if Sys.file_exists socket then Sys.remove socket;
+  let cfg = Serve.Server.default_config ~socket_path:socket in
+  let server = Pool.detached (fun () -> Serve.Server.run cfg) in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists socket then Sys.remove socket)
+    (fun () ->
+      let c = connect_retry socket in
+      f socket c;
+      ignore (expect_ok (Serve.Client.request c P.Shutdown));
+      Serve.Client.close c;
+      match Pool.Future.await server with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "server exit: %s" e)
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.snapshot ()).Obs.counters)
+
+let hist_count name =
+  match List.assoc_opt name (Obs.snapshot ()).Obs.histograms with
+  | Some h -> h.Obs.h_count
+  | None -> 0
+
+let wait_tests =
+  [
+    Alcotest.test_case "wait parks until the job ends, on every connection" `Slow
+      (fun () ->
+        with_server "w" @@ fun socket c ->
+        let now = Unix.gettimeofday in
+        let id_slow = int_field "id" (expect_ok (Serve.Client.submit c slow_submit)) in
+        (* queued behind the slow job on the single worker *)
+        let id_q =
+          int_field "id"
+            (expect_ok (Serve.Client.submit c { (submit_of 0.) with P.increase = Some "2" }))
+        in
+        (* an unknown id errors at once *)
+        let t0 = now () in
+        (match Serve.Client.request c (P.Wait (999, Some 30.)) with
+        | Ok resp -> Alcotest.(check bool) "unknown id: ok=false" false (bool_field "ok" resp)
+        | Error e -> Alcotest.failf "wait 999: %s" e);
+        Alcotest.(check bool) "unknown id answered at once" true (now () -. t0 < 1.);
+        (* a timeout answers with the current status and no result *)
+        let t0 = now () in
+        let r = expect_ok (Serve.Client.request c (P.Wait (id_slow, Some 0.1))) in
+        Alcotest.(check string) "still running" "running" (str_field "status" r);
+        Alcotest.(check bool) "no result" true (J.member "result" r = None);
+        Alcotest.(check bool) "held for the timeout" true (now () -. t0 >= 0.1);
+        (* parked waits on their own connections *)
+        let waiter id =
+          Pool.detached (fun () ->
+              let wc = connect_retry socket in
+              let r = Serve.Client.request wc (P.Wait (id, Some 60.)) in
+              let at = now () in
+              Serve.Client.close wc;
+              (expect_ok r, at))
+        in
+        let w_queued = waiter id_q in
+        let w_slow = [ waiter id_slow; waiter id_slow ] in
+        (* a line pipelined behind a parked wait is answered after it *)
+        let pipelined =
+          match Serve.Transport.dial (Serve.Transport.Unix_sock socket) with
+          | Ok fd ->
+            Unix.setsockopt_float fd Unix.SO_RCVTIMEO 30.;
+            let line req = J.to_string (P.json_of_request req) in
+            P.Frame.write_line fd (line (P.Wait (id_q, Some 60.)) ^ "\n" ^ line (P.Status id_q));
+            fd
+          | Error e -> Alcotest.failf "dial: %s" e
+        in
+        (* a client that leaves while parked *)
+        (match Serve.Transport.dial (Serve.Transport.Unix_sock socket) with
+        | Ok fd ->
+          P.Frame.write_line fd (J.to_string (P.json_of_request (P.Wait (id_slow, Some 60.))));
+          Unix.sleepf 0.05;
+          Unix.close fd
+        | Error e -> Alcotest.failf "dial: %s" e);
+        Unix.sleepf 0.3;
+        (* the next request is undisturbed, and answered promptly *)
+        let t0 = now () in
+        ignore (expect_ok (Serve.Client.request c P.Stats));
+        Alcotest.(check bool) "stats while waits are parked" true (now () -. t0 < 1.);
+        Alcotest.(check string) "slow job still running" "running"
+          (str_field "status" (expect_ok (Serve.Client.request c (P.Status id_slow))));
+        let cancelled_at = now () in
+        ignore (expect_ok (Serve.Client.request c (P.Cancel id_slow)));
+        (* both waiters on the cancelled job answered, after the cancel *)
+        List.iter
+          (fun w ->
+            let r, at = Pool.Future.await w in
+            Alcotest.(check string) "waiter sees the cancel" "cancelled" (str_field "status" r);
+            Alcotest.(check bool) "answered after the cancel" true (at >= cancelled_at))
+          w_slow;
+        (* the queued job ran next; its waiter got the result object *)
+        let r, at = Pool.Future.await w_queued in
+        Alcotest.(check string) "queued job done" "done" (str_field "status" r);
+        Alcotest.(check bool) "result delivered" true (J.member "result" r <> None);
+        Alcotest.(check bool) "answered after the cancel" true (at >= cancelled_at);
+        let reader = P.Frame.reader pipelined in
+        let next_reply () =
+          match P.Frame.read_line reader with
+          | `Line l -> (match J.of_string l with Ok j -> j | Error e -> Alcotest.fail e)
+          | `Eof | `Oversized -> Alcotest.fail "pipelined connection lost"
+        in
+        let first = next_reply () in
+        Alcotest.(check bool) "the wait's reply comes first" true (J.member "result" first <> None);
+        Alcotest.(check string) "then the status behind it" "done" (str_field "status" (next_reply ()));
+        Unix.close pipelined);
+    Alcotest.test_case "status is current; await is one wait, no sleeps" `Slow
+      (fun () ->
+        with_server "s" @@ fun _ c ->
+        let submit inc =
+          int_field "id"
+            (expect_ok (Serve.Client.submit c { (submit_of 0.) with P.increase = Some inc }))
+        in
+        (* warm the solver, then: a worker that finished is seen by the
+           next request, not only after the loop's next 50 ms tick *)
+        (match Serve.Client.await c ~id:(submit "5") ~timeout:60. () with
+        | Ok ("done", Some _) -> ()
+        | Ok (st, _) -> Alcotest.failf "warm-up ended as %s" st
+        | Error e -> Alcotest.failf "warm-up await: %s" e);
+        let id = submit "6" in
+        Unix.sleepf 0.03;
+        Alcotest.(check string) "done 30 ms after submit" "done"
+          (str_field "status" (expect_ok (Serve.Client.request c (P.Status id))));
+        (* Client.await of a queued job: one wait request, no backoff *)
+        let id = submit "7" in
+        let requests0 = counter "serve.requests" in
+        let backoff0 = hist_count "client.await.backoff.seconds" in
+        (match Serve.Client.await c ~id ~timeout:60. () with
+        | Ok ("done", Some _) -> ()
+        | Ok (st, _) -> Alcotest.failf "await ended as %s" st
+        | Error e -> Alcotest.failf "await: %s" e);
+        Alcotest.(check int) "one request" 1 (counter "serve.requests" - requests0);
+        Alcotest.(check int) "no backoff sample" 0
+          (hist_count "client.await.backoff.seconds" - backoff0));
+  ]
 
 let server_tests =
   [
@@ -526,4 +683,9 @@ let server_tests =
 
 let () =
   Alcotest.run "serve"
-    [ ("protocol", protocol_tests); ("frame", frame_tests); ("server", server_tests) ]
+    [
+      ("protocol", protocol_tests);
+      ("frame", frame_tests);
+      ("server", server_tests);
+      ("wait", wait_tests);
+    ]
