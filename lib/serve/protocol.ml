@@ -295,13 +295,15 @@ let request_of_json j =
   | "result" ->
     let* id = int_field "id" j in
     Ok (Result id)
-  | "wait" -> (
+  | "wait" ->
     let* id = int_field "id" j in
-    match J.member "timeout" j with
-    | None -> Ok (Wait (id, None))
-    | Some (J.Float s) -> Ok (Wait (id, Some s))
-    | Some (J.Int n) -> Ok (Wait (id, Some (float_of_int n)))
-    | Some _ -> Error "field \"timeout\" must be a number")
+    let* timeout =
+      field "a number"
+        (function
+          | J.Float s -> Some (Some s) | J.Int n -> Some (Some (float_of_int n)) | _ -> None)
+        ~default:None "timeout" j
+    in
+    Ok (Wait (id, timeout))
   | "cancel" ->
     let* id = int_field "id" j in
     Ok (Cancel id)
