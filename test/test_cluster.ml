@@ -691,12 +691,14 @@ let trace_tests =
               (with_our_trace "serve.job.run")));
   ]
 
+(* group names stay within 8 characters: alcotest pads every line to the
+   longest one, so a longer group would shorten the printed test names *)
 let () =
   Alcotest.run "cluster"
     [
       ("ring", ring_tests);
       ("protocol", version_tests);
       ("server", server_tests);
-      ("coordinator", coordinator_tests);
+      ("fleet", coordinator_tests);
       ("trace", trace_tests);
     ]
