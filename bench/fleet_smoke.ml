@@ -9,7 +9,9 @@
    every shard must have completed work, proving the ring actually
    spread the keys).  The aggregated metrics scrape must carry per-shard
    labels and the coordinator's own cluster.* series.  Then a fresh
-   cold batch is submitted and awaited by several clients at once, and
+   cold batch (on a repriced copy of the 14-bus grid, whose OPFs no
+   shard has stored) is submitted and awaited by several clients at
+   once, and
    while their waits are parked at the coordinator one shard process is
    SIGKILLed: the coordinator must see the death on the parked waits'
    side connections, rebalance the ring (cluster.ring.rebalances /
@@ -73,11 +75,30 @@ let scenarios =
         timeout = 0.;
       })
 
-(* the batch the shard death interrupts: 14-bus jobs (each a fraction
-   of a second of exact LP) with targets the first batch never used *)
+(* the batch the shard death interrupts: 14-bus jobs with targets the
+   first batch never used, on a copy of the grid with every generator's
+   marginal cost raised by a tenth.  The first batch left each shard
+   the 14-bus grid's attack-free OPF (a base: entry) and its
+   verifications, which would answer these jobs in milliseconds; on the
+   repriced copy each shard's first kill job solves its exact base LP
+   and candidates afresh, a fraction of a second the waits park on *)
+let grid14_repriced =
+  let module N = Grid.Network in
+  let spec = Grid.Test_systems.ieee 14 in
+  let grid = spec.Grid.Spec.grid in
+  let reprice (g : N.gen) =
+    { g with N.beta = Numeric.Rat.mul g.N.beta (Numeric.Rat.of_ints 11 10) }
+  in
+  Grid.Spec.print
+    { spec with Grid.Spec.grid = { grid with N.gens = Array.map reprice grid.N.gens } }
+
 let kill_scenarios =
   List.init 24 (fun k ->
-      { (List.nth scenarios 1) with P.increase = Some (Printf.sprintf "%d.5" (1 + k)) })
+      {
+        (List.nth scenarios 1) with
+        P.grid = grid14_repriced;
+        increase = Some (Printf.sprintf "%d.5" (1 + k));
+      })
 
 (* ---- JSON helpers ---- *)
 

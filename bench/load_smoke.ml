@@ -273,8 +273,13 @@ let () =
   let c = connect_retry (Serve.Transport.Unix_sock fleet_sock) in
   Obs.Trace.with_context ctx (fun () ->
       Obs.Trace.with_span "client.submit" (fun () ->
+          (* the shift-factor backend: the load window solved this
+             grid's attack-free OPF only in the angle formulation, so
+             this job's base: entry is a miss and its OPF runs under
+             the trace id *)
           match
-            Serve.Client.submit ?trace:ctx c (sub ~increase:"9.909" ())
+            Serve.Client.submit ?trace:ctx c
+              { (sub ~increase:"9.909" ()) with P.backend = "factors" }
           with
           | Error e -> fail "traced submit: %s" e
           | Ok resp -> (

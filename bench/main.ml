@@ -442,7 +442,7 @@ let abl_fastpath sink =
       let spec0 = Grid.Test_systems.ieee n in
       let spec = E.randomize_scenario ~seed:1 spec0 in
       let spec = { spec with Grid.Spec.min_increase_pct = Q.of_ints 3 2 } in
-      match E.base_state_for spec with
+      match Topoguard.Impact.base_state `Case_study spec.Grid.Spec.grid with
       | Error e -> out sink "%-6d base error: %s\n" n e
       | Ok base ->
         let run ~use_closed_form ~jobs =

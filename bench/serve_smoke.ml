@@ -5,7 +5,10 @@
    journal, then over the wire: submits the 5-bus case-study scenario
    twice and proves the second answer comes from the content-addressed
    store (cached = true, store.hit counted, and *zero* new simplex
-   pivots in either LP backend); forces one per-job wall-clock timeout
+   pivots in either LP backend); submits it once more at a lower target,
+   a new job that must still add zero pivots, because its attack-free
+   OPF and every candidate it reaches are already in the store
+   (base: and verify: entries); forces one per-job wall-clock timeout
    and one cooperative cancellation (queued and running); finally sends
    SIGTERM and requires a graceful drain: exit status 0 and the socket
    file removed.  The journal left behind must answer the submission
@@ -82,6 +85,11 @@ let counter stats name =
     | None -> fail "stats missing counters")
   | None -> fail "stats missing snapshot"
 
+(* simplex pivots in the SMT solver and both LP backends *)
+let pivots stats =
+  counter stats "smt.simplex.pivots" + counter stats "lp.exact.pivots"
+  + counter stats "lp.float.pivots"
+
 (* ---- child-process server ---- *)
 
 let start_server cli =
@@ -155,10 +163,7 @@ let () =
   | Ok (st, _) -> fail "first job ended as %s" st
   | Error e -> fail "await 1: %s" e);
   let stats1 = expect_ok "stats 1" (Serve.Client.request c P.Stats) in
-  let pivots1 =
-    counter stats1 "smt.simplex.pivots" + counter stats1 "lp.exact.pivots"
-    + counter stats1 "lp.float.pivots"
-  in
+  let pivots1 = pivots stats1 in
   let hits1 = counter stats1 "store.hit" in
 
   (* 2. identical resubmission: served by the store, no solver work *)
@@ -172,10 +177,7 @@ let () =
   | Ok (st, _) -> fail "cached job ended as %s" st
   | Error e -> fail "await 2: %s" e);
   let stats2 = expect_ok "stats 2" (Serve.Client.request c P.Stats) in
-  let pivots2 =
-    counter stats2 "smt.simplex.pivots" + counter stats2 "lp.exact.pivots"
-    + counter stats2 "lp.float.pivots"
-  in
+  let pivots2 = pivots stats2 in
   if counter stats2 "store.hit" <= hits1 then
     fail "store.hit did not increase on the cached resubmission";
   if pivots2 <> pivots1 then
@@ -225,6 +227,26 @@ let () =
   if inf <> completed then
     fail "service histogram +Inf bucket %g <> completed total %g" inf completed;
 
+  (* 2c. a lower target is a new job that needs no solver: its
+     attack-free OPF is step 1's base: entry, and below the case's 3% the
+     scan stops at or before step 1's winner, so every candidate it
+     reaches has a verify: entry *)
+  let r6 =
+    expect_ok "submit 2%"
+      (Serve.Client.submit c { submit5 with P.increase = Some "2" })
+  in
+  if bool_field "cached" r6 then fail "a new target was answered as a cached job";
+  (match Serve.Client.await c ~id:(int_field "id" r6) ~timeout:30. () with
+  | Ok ("done", Some result) ->
+    if str_field "outcome" result <> "attack_found" then
+      fail "a 2%% target should find an attack, got %s" (J.to_string result)
+  | Ok (st, _) -> fail "2%% job ended as %s" st
+  | Error e -> fail "await 2%%: %s" e);
+  let pivots6 = pivots (expect_ok "stats 2%" (Serve.Client.request c P.Stats)) in
+  if pivots6 <> pivots2 then
+    fail "a lower target re-solved from scratch: %d new pivot(s)"
+      (pivots6 - pivots2);
+
   (* 3. per-job wall-clock timeout: a 57-bus exact analysis cannot finish
      in a millisecond; the deadline probe must end it as "timeout" *)
   let slow_submit increase timeout =
@@ -253,7 +275,7 @@ let () =
   let id4 = int_field "id" r4 in
   let r5 =
     expect_ok "submit queued"
-      (Serve.Client.submit c { submit5 with P.increase = Some "2" })
+      (Serve.Client.submit c { submit5 with P.increase = Some "1" })
   in
   let id5 = int_field "id" r5 in
   let rc5 = expect_ok "cancel queued" (Serve.Client.request c (P.Cancel id5)) in
@@ -300,5 +322,6 @@ let () =
     | Error e -> fail "offline lookup: %s" e));
 
   print_endline "serve-smoke: OK (cache hit with zero new pivots, metrics \
-                 exposition consistent, timeout, cancel x2, graceful SIGTERM \
-                 drain, offline journal lookup)"
+                 exposition consistent, new target with zero new pivots, \
+                 timeout, cancel x2, graceful SIGTERM drain, offline journal \
+                 lookup)"

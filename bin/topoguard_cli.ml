@@ -25,18 +25,7 @@ let load_spec path =
     exit 2
 
 let base_state_of spec kind =
-  let grid = spec.Grid.Spec.grid in
-  let result =
-    match kind with
-    | `Opf -> Attack.Base_state.of_opf grid
-    | `Proportional -> Attack.Base_state.proportional grid
-    | `Case_study ->
-      if grid.N.n_buses = 5 then
-        Attack.Base_state.of_dispatch grid
-          ~gen:(Grid.Test_systems.case_study_base_dispatch ())
-      else Attack.Base_state.of_opf grid
-  in
-  match result with
+  match Topoguard.Impact.base_state kind spec.Grid.Spec.grid with
   | Ok b -> b
   | Error e ->
     (* the file parsed; failing to construct the operating point is an

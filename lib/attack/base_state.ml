@@ -47,18 +47,18 @@ let of_dispatch ?exact grid ~gen =
       Ok { grid; topo; gen; load; theta; flows = all_line_flows grid theta }
   end
 
+let of_generators grid ~pg =
+  let gen = Array.make grid.N.n_buses Q.zero in
+  Array.iteri (fun k (g : N.gen) -> gen.(g.N.gbus) <- pg.(k)) grid.N.gens;
+  of_dispatch grid ~gen
+
 let of_opf grid =
   (* the exact angle-formulation LP is only tractable on small systems;
      larger ones use the paper's shift-factor OPF (Section IV-A, idea 2) *)
   match Opf.Float_opf.solve (Grid.Topology.make grid) with
   | Opf.Dc_opf.Infeasible -> Error "base OPF infeasible"
   | Opf.Dc_opf.Unbounded -> Error "base OPF unbounded"
-  | Opf.Dc_opf.Dispatch d ->
-    let gen = Array.make grid.N.n_buses Q.zero in
-    Array.iteri
-      (fun k (g : N.gen) -> gen.(g.N.gbus) <- d.Opf.Dc_opf.pg.(k))
-      grid.N.gens;
-    of_dispatch grid ~gen
+  | Opf.Dc_opf.Dispatch d -> of_generators grid ~pg:d.Opf.Dc_opf.pg
 
 let proportional grid =
   let total = N.total_load grid in

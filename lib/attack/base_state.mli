@@ -22,8 +22,14 @@ val of_dispatch :
   ?exact:bool -> Grid.Network.t -> gen:Numeric.Rat.t array -> (t, string) Result.t
 (** [exact] defaults to true for systems up to 30 buses. *)
 
+val of_generators :
+  Grid.Network.t -> pg:Numeric.Rat.t array -> (t, string) Result.t
+(** {!of_dispatch} from a per-generator dispatch ([pg] indexed like
+    [grid.gens], as an OPF reports it). *)
+
 val of_opf : Grid.Network.t -> (t, string) Result.t
-(** Base state = attack-free OPF optimum (the normal operating premise). *)
+(** Base state = attack-free OPF optimum (the normal operating premise),
+    solved on the shift-factor formulation ({!Opf.Float_opf}). *)
 
 val proportional : Grid.Network.t -> (t, string) Result.t
 (** All generators loaded at an equal fraction of capacity. *)

@@ -37,13 +37,6 @@ let randomize_scenario ~seed (spec : Grid.Spec.t) =
     max_buses;
   }
 
-let base_state_for (spec : Grid.Spec.t) =
-  let grid = spec.Grid.Spec.grid in
-  if grid.N.n_buses = 5 then
-    Attack.Base_state.of_dispatch grid
-      ~gen:(Grid.Test_systems.case_study_base_dispatch ())
-  else Attack.Base_state.of_opf grid
-
 let timed ~label ~size f =
   let a0 = Gc.allocated_bytes () in
   let before = Obs.snapshot () in
@@ -72,7 +65,7 @@ let impact_run ~mode ?(backend = Impact.Lp_exact)
     | Attack.Encoder.With_state_infection -> "topo+state"
     | Attack.Encoder.Ufdi_only -> "ufdi"
   in
-  match base_state_for spec with
+  match Impact.base_state `Case_study spec.Grid.Spec.grid with
   | Error e ->
     {
       label = Printf.sprintf "impact/%s/seed%d" mode_tag seed;
@@ -108,7 +101,7 @@ let impact_run ~mode ?(backend = Impact.Lp_exact)
 let attack_model_run ~mode ~seed spec =
   let spec = randomize_scenario ~seed spec in
   let size = spec.Grid.Spec.grid.N.n_buses in
-  match base_state_for spec with
+  match Impact.base_state `Case_study spec.Grid.Spec.grid with
   | Error e ->
     {
       label = Printf.sprintf "attack-model/seed%d" seed;
@@ -143,7 +136,7 @@ let unsat_impact_run ~mode ~seed spec =
     }
   in
   let size = spec.Grid.Spec.grid.N.n_buses in
-  match base_state_for spec with
+  match Impact.base_state `Case_study spec.Grid.Spec.grid with
   | Error e ->
     {
       label = Printf.sprintf "unsat-impact/seed%d" seed;
@@ -180,7 +173,7 @@ let unsat_attack_model_run ~mode ~seed spec =
   let spec = randomize_scenario ~seed spec in
   let spec = { spec with Grid.Spec.max_buses = 1 } in
   let size = spec.Grid.Spec.grid.N.n_buses in
-  match base_state_for spec with
+  match Impact.base_state `Case_study spec.Grid.Spec.grid with
   | Error e ->
     {
       label = Printf.sprintf "unsat-attack-model/seed%d" seed;
@@ -257,7 +250,7 @@ let unsat_opf_model_run spec =
         | `Unsat -> "unsat")
 
 let memory_table_row (spec : Grid.Spec.t) =
-  match base_state_for spec with
+  match Impact.base_state `Case_study spec.Grid.Spec.grid with
   | Error e -> Error e
   | Ok base -> (
     let spec_r = randomize_scenario ~seed:1 spec in

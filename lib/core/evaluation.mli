@@ -20,11 +20,6 @@ val randomize_scenario : seed:int -> Grid.Spec.t -> Grid.Spec.t
 (** Perturb attacker resources (measurement/bus budgets) and measurement
     accessibility deterministically from the seed. *)
 
-val base_state_for : Grid.Spec.t -> (Attack.Base_state.t, string) Result.t
-(** The observed operating point used by the benches: the calibrated
-    case-study dispatch for the 5-bus system, the attack-free OPF optimum
-    elsewhere. *)
-
 val timed : label:string -> size:int -> (unit -> string) -> measurement
 
 val impact_run :

@@ -114,27 +114,44 @@ let backend_tag = function
   | Lp_exact | Fast_factors -> "exact"
   | Smt_bounded -> "smt"
 
+(* a rational as [Q.to_string] prints it, or None — a zero denominator
+   included, so a malformed store value (a peer's [sync] inserts values
+   without decoding them) is a miss, never a crash *)
+let rat_of_string s =
+  let num, den =
+    match String.split_on_char '/' s with
+    | [ n ] -> (n, "1")
+    | [ n; d ] -> (n, d)
+    | _ -> ("", "")
+  in
+  match Q.make (Numeric.Bigint.of_string num) (Numeric.Bigint.of_string den) with
+  | q -> Some q
+  | exception (Invalid_argument _ | Division_by_zero) -> None
+
 (* "cost <num[/den]>" | "noconv" *)
 let encode_verdict = function
   | `Cost c -> "cost " ^ Q.to_string c
   | `NoConv -> "noconv"
 
 let decode_verdict s =
-  if s = "noconv" then Some `NoConv
-  else
-    match String.split_on_char ' ' s with
-    | [ "cost"; q ] -> (
-      match String.split_on_char '/' q with
-      | [ n ] -> (
-        match Numeric.Bigint.of_string n with
-        | n -> Some (`Cost (Q.make n Numeric.Bigint.one))
-        | exception _ -> None)
-      | [ n; d ] -> (
-        match (Numeric.Bigint.of_string n, Numeric.Bigint.of_string d) with
-        | n, d -> Some (`Cost (Q.make n d))
-        | exception _ -> None)
-      | _ -> None)
-    | _ -> None
+  match String.split_on_char ' ' s with
+  | [ "noconv" ] -> Some `NoConv
+  | [ "cost"; q ] -> Option.map (fun c -> `Cost c) (rat_of_string q)
+  | _ -> None
+
+(* the one store memo behind verify: and base: entries.  A value that
+   fails to decode is removed before the fresh one is added: [add] keeps
+   a resident key, so the bad value would otherwise be re-solved on every
+   lookup and keep being served to peers *)
+let memoize store key ~encode ~decode solve =
+  let raw = Store.Cache.find store key in
+  match Option.bind raw decode with
+  | Some v -> v
+  | None ->
+    if raw <> None then Store.Cache.remove store key;
+    let v = solve () in
+    Store.Cache.add store ~key ~value:(encode v);
+    v
 
 (* the key is a canonical serialisation of the poisoned instance itself
    (each line carries its mapped bit through the content sort), so two
@@ -166,15 +183,100 @@ let exact_verdict backend grid (vec : Attack.Vector.t) =
   | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> `NoConv
 
 let exact_verdict_cached config grid vec =
+  let solve () = exact_verdict config.backend grid vec in
   match verify_store_key config grid vec with
-  | None -> exact_verdict config.backend grid vec
-  | Some (store, key) -> (
-    match Option.bind (Store.Cache.find store key) decode_verdict with
-    | Some verdict -> verdict
-    | None ->
-      let verdict = exact_verdict config.backend grid vec in
-      Store.Cache.add store ~key ~value:(encode_verdict verdict);
-      verdict)
+  | None -> solve ()
+  | Some (store, key) ->
+    memoize store key ~encode:encode_verdict ~decode:decode_verdict solve
+
+(* ---- the attack-free OPF, once per store ----
+
+   T* depends on the grid alone, so with a store each formulation is
+   solved once and every later analysis of the grid reads it from a
+   base: entry.  The angle formulation (the exact LP and SMT backends)
+   and the PTDF one (Fast_factors, and the service's OPF base state)
+   never share an entry: their optima differ by about 1e-6, and a
+   threshold must not depend on what the store already holds.  The key
+   folds in the file's row ordering because [pg] is indexed by generator
+   row.  The value carries exactly what the analysis reads. *)
+
+type base_opf = [ `Optimal of Q.t * Q.t array | `Infeasible | `Unbounded ]
+
+let formulation = function
+  | Fast_factors -> `Ptdf
+  | Lp_exact | Smt_bounded -> `Angle
+
+let base_store_key form grid =
+  let tag = match form with `Angle -> "angle" | `Ptdf -> "ptdf" in
+  let loads = Array.make grid.N.n_buses Q.zero in
+  Array.iter (fun (l : N.load) -> loads.(l.N.lbus) <- l.N.existing) grid.N.loads;
+  String.concat ":"
+    [
+      "base";
+      tag;
+      Store.Canonical.verify_key ~backend:tag ~mapped:(N.true_topology grid)
+        ~loads grid;
+      Store.Canonical.ordering grid;
+    ]
+
+(* "infeasible" | "unbounded" | "optimal <cost> <pg_0> .. <pg_k-1>" *)
+let encode_base : base_opf -> string = function
+  | `Infeasible -> "infeasible"
+  | `Unbounded -> "unbounded"
+  | `Optimal (cost, pg) ->
+    String.concat " " ("optimal" :: List.map Q.to_string (cost :: Array.to_list pg))
+
+let decode_base grid s : base_opf option =
+  match String.split_on_char ' ' s with
+  | [ "infeasible" ] -> Some `Infeasible
+  | [ "unbounded" ] -> Some `Unbounded
+  | "optimal" :: fields -> (
+    (* the cost, then one set-point per generator row *)
+    let rats = List.filter_map rat_of_string fields in
+    match rats with
+    | cost :: pg
+      when List.length rats = List.length fields
+           && List.length pg = Array.length grid.N.gens ->
+      Some (`Optimal (cost, Array.of_list pg))
+    | _ -> None)
+  | _ -> None
+
+let solve_base form grid : base_opf =
+  let outcome =
+    match form with
+    | `Angle -> Opf.Dc_opf.base_case grid
+    | `Ptdf -> Opf.Float_opf.solve (Grid.Topology.make grid)
+  in
+  match outcome with
+  | Opf.Dc_opf.Dispatch d -> `Optimal (d.Opf.Dc_opf.cost, d.Opf.Dc_opf.pg)
+  | Opf.Dc_opf.Infeasible -> `Infeasible
+  | Opf.Dc_opf.Unbounded -> `Unbounded
+
+let base_opf ?store form grid =
+  let solve () = solve_base form grid in
+  match store with
+  | None -> solve ()
+  | Some store ->
+    memoize store (base_store_key form grid) ~encode:encode_base
+      ~decode:(decode_base grid) solve
+
+(* the one resolution of an analysis' observed operating point: the
+   calibrated dispatch on the 5-bus case study, the PTDF OPF optimum
+   elsewhere *)
+let base_state ?store kind grid =
+  let of_opf () =
+    match base_opf ?store `Ptdf grid with
+    | `Infeasible -> Error "base OPF infeasible"
+    | `Unbounded -> Error "base OPF unbounded"
+    | `Optimal (_, pg) -> Attack.Base_state.of_generators grid ~pg
+  in
+  match kind with
+  | `Opf -> of_opf ()
+  | `Proportional -> Attack.Base_state.proportional grid
+  | `Case_study when grid.N.n_buses = 5 ->
+    Attack.Base_state.of_dispatch grid
+      ~gen:(Grid.Test_systems.case_study_base_dispatch ())
+  | `Case_study -> of_opf ()
 
 (* the operator runs OPF on the poisoned topology and the shifted loads;
    the attack achieves the impact iff no dispatch beats the threshold
@@ -203,13 +305,6 @@ let verify_impact config grid (vec : Attack.Vector.t) ~threshold =
       match Opf.Smt_opf.feasible ~loads topo ~budget:loose with
       | `Sat -> `Success None
       | `Unsat -> `No_convergence))
-
-(* the attack-free OPF through the configured backend: the exact angle
-   formulation for the LP/SMT backends, shift factors for Fast_factors *)
-let base_opf backend grid =
-  match backend with
-  | Fast_factors -> Opf.Float_opf.solve (Grid.Topology.make grid)
-  | Lp_exact | Smt_bounded -> Opf.Dc_opf.base_case grid
 
 (* closed-form enumeration of single-line attacks (the paper's LODF-era
    fast path): no SMT involved.  The candidate verifications are
@@ -249,7 +344,7 @@ let truncate_candidates config candidates =
 
 type static_verdict = [ `Islanding | `Interval | `Ceiling ]
 
-let audit_verdicts config ~grid ~base_dispatch ~threshold ~base_cost
+let audit_verdicts config ~grid ~base_pg ~threshold ~base_cost
     candidates : static_verdict option array =
   let n = List.length candidates in
   if not (config.audit && n > 0) then Array.make n None
@@ -265,7 +360,7 @@ let audit_verdicts config ~grid ~base_dispatch ~threshold ~base_cost
       Array.make n (Some `Ceiling)
     end
     else
-      Audit.classify ~grid ~base_dispatch:base_dispatch.Opf.Dc_opf.pg
+      Audit.classify ~grid ~base_dispatch:base_pg
         ~islanding_sound:(config.backend = Fast_factors)
         ~interval_active:(Q.( > ) threshold base_cost)
         ~candidates
@@ -299,14 +394,14 @@ let audit_cross_check config ~grid ~threshold vec (claim : static_verdict) =
     if not agree then Obs.Counter.incr obs_audit_unsound
   end
 
-let analyze_closed_form config ~grid ~base_dispatch ~candidates ~base_cost
+let analyze_closed_form config ~grid ~base_pg ~candidates ~base_cost
     ~threshold =
   (* the enumeration budget applies on this path too: the SMT loop stops
      after [max_candidates] queries, so the closed-form enumeration is
      cut to the same prefix of the ranked candidate list *)
   let candidates = truncate_candidates config candidates in
   let statics =
-    audit_verdicts config ~grid ~base_dispatch ~threshold ~base_cost candidates
+    audit_verdicts config ~grid ~base_pg ~threshold ~base_cost candidates
   in
   let examined = Atomic.make 0 in
   let survivors =
@@ -401,17 +496,16 @@ let analyze_inner ~config ~(scenario : Grid.Spec.t)
     ~(base : Attack.Base_state.t) =
   check_interrupt config;
   let grid = scenario.Grid.Spec.grid in
-  match base_opf config.backend grid with
-  | Opf.Dc_opf.Infeasible -> Base_infeasible "attack-free OPF infeasible"
-  | Opf.Dc_opf.Unbounded -> Base_infeasible "attack-free OPF unbounded"
-  | Opf.Dc_opf.Dispatch base_dispatch ->
-    let base_cost = base_dispatch.Opf.Dc_opf.cost in
+  match base_opf ?store:config.store (formulation config.backend) grid with
+  | `Infeasible -> Base_infeasible "attack-free OPF infeasible"
+  | `Unbounded -> Base_infeasible "attack-free OPF unbounded"
+  | `Optimal (base_cost, base_pg) ->
     let threshold =
       threshold_of ~base_cost scenario.Grid.Spec.min_increase_pct
     in
     if closed_form_applies config then
       let candidates = Attack.Single_line.all_feasible ~scenario ~base in
-      analyze_closed_form config ~grid ~base_dispatch ~candidates ~base_cost
+      analyze_closed_form config ~grid ~base_pg ~candidates ~base_cost
         ~threshold
     else begin
       let solver = Solver.create () in
@@ -443,7 +537,7 @@ let analyze ?(config = default_config) ~(scenario : Grid.Spec.t)
      clauses remain valid (blocked at T means the poisoned optimum is
      below T, hence below any larger T'). *)
 
-let sweep_closed_form config ~scenario ~base ~base_dispatch ~base_cost
+let sweep_closed_form config ~scenario ~base ~base_pg ~base_cost
     ~increases =
   let grid = scenario.Grid.Spec.grid in
   let candidate_list =
@@ -458,7 +552,7 @@ let sweep_closed_form config ~scenario ~base ~base_dispatch ~base_cost
       (fun pct ->
         let threshold = threshold_of ~base_cost pct in
         ( pct,
-          analyze_closed_form config ~grid ~base_dispatch
+          analyze_closed_form config ~grid ~base_pg
             ~candidates:candidate_list ~base_cost ~threshold ))
       increases
   | Lp_exact | Fast_factors ->
@@ -474,7 +568,7 @@ let sweep_closed_form config ~scenario ~base ~base_dispatch ~base_cost
       if not (config.audit && Array.length candidates > 0) then
         Array.make (Array.length candidates) None
       else
-        Audit.classify ~grid ~base_dispatch:base_dispatch.Opf.Dc_opf.pg
+        Audit.classify ~grid ~base_dispatch:base_pg
           ~islanding_sound:(config.backend = Fast_factors)
           ~interval_active:true ~candidates:candidate_list
         |> List.map (function
@@ -608,15 +702,14 @@ let analyze_sweep ?(config = default_config) ~(scenario : Grid.Spec.t)
   Obs.Counter.add obs_sweep_targets (List.length increases);
   check_interrupt config;
   let grid = scenario.Grid.Spec.grid in
-  match base_opf config.backend grid with
-  | Opf.Dc_opf.Infeasible ->
+  match base_opf ?store:config.store (formulation config.backend) grid with
+  | `Infeasible ->
     List.map (fun pct -> (pct, Base_infeasible "attack-free OPF infeasible")) increases
-  | Opf.Dc_opf.Unbounded ->
+  | `Unbounded ->
     List.map (fun pct -> (pct, Base_infeasible "attack-free OPF unbounded")) increases
-  | Opf.Dc_opf.Dispatch base_dispatch ->
-    let base_cost = base_dispatch.Opf.Dc_opf.cost in
+  | `Optimal (base_cost, base_pg) ->
     if closed_form_applies config then
-      sweep_closed_form config ~scenario ~base ~base_dispatch ~base_cost
+      sweep_closed_form config ~scenario ~base ~base_pg ~base_cost
         ~increases
     else sweep_smt config ~scenario ~base ~base_cost ~increases
 
@@ -624,10 +717,9 @@ let max_achievable_increase ?(config = default_config)
     ~(scenario : Grid.Spec.t) ~(base : Attack.Base_state.t) () =
   with_interrupt_probe config @@ fun () ->
   let grid = scenario.Grid.Spec.grid in
-  match base_opf config.backend grid with
-  | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> None
-  | Opf.Dc_opf.Dispatch base_dispatch ->
-    let base_cost = base_dispatch.Opf.Dc_opf.cost in
+  match base_opf ?store:config.store (formulation config.backend) grid with
+  | `Infeasible | `Unbounded -> None
+  | `Optimal (base_cost, _) ->
     let solver = Solver.create () in
     let vars =
       Attack.Encoder.encode ?max_topology_changes:config.max_topology_changes
@@ -642,26 +734,17 @@ let max_achievable_increase ?(config = default_config)
       Obs.Counter.incr obs_iterations;
       match Solver.check solver with
       | `Unsat -> continue := false
-      | `Sat -> (
+      | `Sat ->
         Obs.Counter.incr obs_candidates;
         let vec = Attack.Vector.of_model solver vars scenario in
-        let topo = Grid.Topology.make ~mapped:vec.Attack.Vector.mapped grid in
-        let solve =
-          match config.backend with
-          | Fast_factors -> Opf.Float_opf.solve
-          | Lp_exact | Smt_bounded -> Opf.Dc_opf.solve
-        in
-        (match solve ~loads:vec.Attack.Vector.est_loads topo with
-        | Opf.Dc_opf.Dispatch d ->
-          let cost = d.Opf.Dc_opf.cost in
-          (match !best with
-          | Some b when Q.( >= ) b cost -> ()
-          | _ -> best := Some cost)
-        | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded -> ());
+        (match (exact_verdict_cached config grid vec, !best) with
+        | `Cost c, Some b when Q.( >= ) b c -> ()
+        | `Cost c, _ -> best := Some c
+        | `NoConv, _ -> ());
         (* every candidate is blocked here — the search is exhaustive *)
         Obs.Counter.incr obs_blocked;
         Solver.assert_form solver
-          (Attack.Vector.blocking_clause ~precision:config.precision vars vec))
+          (Attack.Vector.blocking_clause ~precision:config.precision vars vec)
     done;
     Option.map
       (fun c ->

@@ -54,18 +54,31 @@ type config = {
           closed-form path, so it must be domain-safe (read an [Atomic],
           compare against a deadline clock). *)
   store : Store.Cache.t option;
-      (** content-addressed store for per-candidate OPF verifications.
-          With an exact backend the poisoned optimum is
-          threshold-independent, so entries are keyed by a canonical
-          serialisation of the poisoned instance (backend, each line's
-          electrical parameters with its mapped bit, generators, per-bus
-          shifted loads — see {!Store.Canonical.verify_key}) and are
-          shared between scenarios that differ only in the impact target
-          [I] — and, through the store's journal, across process
-          restarts.  The key names the physical topology, not a
-          row-indexed bitstring, so row-permuted copies of a [.grid]
-          file share entries soundly.  The [Smt_bounded] backend
-          bypasses the store (its verdict depends on the threshold). *)
+      (** content-addressed store for the analysis' OPF solves, two
+          namespaces:
+          - [verify:] entries, one per candidate verification.  With an
+            exact backend the poisoned optimum is threshold-independent,
+            so entries are keyed by a canonical serialisation of the
+            poisoned instance (backend, each line's electrical parameters
+            with its mapped bit, generators, per-bus shifted loads — see
+            {!Store.Canonical.verify_key}) and are shared between
+            scenarios that differ only in the impact target [I] — and,
+            through the store's journal, across process restarts.  The
+            key names the physical topology, not a row-indexed
+            bitstring, so row-permuted copies of a [.grid] file share
+            entries soundly.  The [Smt_bounded] backend bypasses them
+            (its verdict depends on the threshold).
+          - [base:] entries, the attack-free OPF [T*] of a grid, solved
+            once per store and formulation: [base:angle:...] for the
+            angle formulation ([Lp_exact], [Smt_bounded]) and
+            [base:ptdf:...] for the shift-factor one ([Fast_factors], and
+            {!base_state}'s OPF operating point).  The key is the
+            {!Store.Canonical.verify_key} of the true topology and the
+            existing loads plus {!Store.Canonical.ordering}, since the
+            stored dispatch is indexed by generator row; the value is
+            infeasible, unbounded, or the exact cost and dispatch.
+          A value that fails to decode is replaced by a fresh solve.
+          [None] (the default) solves everything afresh. *)
   audit : bool;
       (** solver-free static pre-pass on the closed-form path (default
           true): before any verification, {!Audit.classify} prunes
@@ -109,6 +122,18 @@ type outcome =
   | Attack_found of success
   | No_attack of { candidates : int }
   | Base_infeasible of string
+
+val base_state :
+  ?store:Store.Cache.t ->
+  [ `Opf | `Proportional | `Case_study ] ->
+  Grid.Network.t ->
+  (Attack.Base_state.t, string) result
+(** The observed operating point an analysis starts from: [`Opf] the
+    attack-free shift-factor OPF optimum, [`Proportional]
+    {!Attack.Base_state.proportional}, and [`Case_study] the calibrated
+    case-study dispatch on the 5-bus grid and the OPF optimum elsewhere.
+    With [store] the OPF optimum comes from the same [base:ptdf:] entry
+    a [Fast_factors] analysis of the grid reads (see {!config.store}). *)
 
 val analyze :
   ?config:config ->

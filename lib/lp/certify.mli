@@ -7,11 +7,11 @@
       recorded problem — an [Infeasible] verdict here is already sound;
     + float simplex ({!Flp}, presolve off) on the reduced problem, which
       emits a {{!Flp.certificate} basis certificate} at optimality;
-    + one exact refactorization of the certified basis over
-      {!Linalg.Qmat}: pin nonbasic variables to their claimed bounds,
-      solve the square basic system in rationals, check primal bounds and
-      reduced-cost signs exactly, and read the exact optimum off the
-      basis;
+    + one exact refactorization of the certified basis with the
+      fraction-free {!Linalg.Bareiss} kernel: pin nonbasic variables to
+      their claimed bounds, solve the square basic system in rationals,
+      check primal bounds and reduced-cost signs exactly, and read the
+      exact optimum off the basis;
     + on any gap — certificate rejected, float stall/cycle, float
       infeasible or unbounded verdict — transparent fallback to the exact
       {!Lp} simplex, warm-started from the float point.

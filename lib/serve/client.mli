@@ -70,7 +70,7 @@ val await :
 
 val sync :
   t -> ranges:(int * int) list -> ((string * string) list, string) result
-(** Pull the server's resident [job:]/[verify:] entries whose
+(** Pull the server's resident [job:]/[verify:]/[base:] entries whose
     {!Store.Canonical.point} falls in the inclusive [ranges] (empty =
     all), as [(key, value)] pairs — the warm-restart path of a fleet
     shard. *)

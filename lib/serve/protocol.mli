@@ -83,11 +83,12 @@ type request =
           once. *)
   | Cancel of int
   | Sync of (int * int) list
-      (** journal warm-start pull: return every resident [job:]/[verify:]
-          store entry whose {!Store.Canonical.point} falls inside one of
-          the inclusive [(lo, hi)] ranges (empty list = the whole
-          keyspace), as [entries: [[key, value], ...]].  A restarted
-          shard asks its peers for its ring ranges and rejoins warm. *)
+      (** journal warm-start pull: return every resident
+          [job:]/[verify:]/[base:] store entry whose
+          {!Store.Canonical.point} falls inside one of the inclusive
+          [(lo, hi)] ranges (empty list = the whole keyspace), as
+          [entries: [[key, value], ...]].  A restarted shard asks its
+          peers for its ring ranges and rejoins warm. *)
   | Stats
   | Metrics  (** Prometheus text exposition of the server's metrics *)
   | Shutdown

@@ -1,7 +1,6 @@
 module J = Obs.Json
 module Q = Numeric.Rat
 module I = Topoguard.Impact
-module N = Grid.Network
 
 type config = {
   socket_path : string;
@@ -124,18 +123,10 @@ let backend_of = function
   | "factors" -> I.Fast_factors
   | _ -> I.Lp_exact
 
-(* mirror of the CLI's --base resolution: the calibrated 5-bus dispatch
-   when it applies, the OPF operating point otherwise *)
-let base_state_of (spec : Grid.Spec.t) kind =
-  let grid = spec.Grid.Spec.grid in
-  match kind with
-  | "opf" -> Attack.Base_state.of_opf grid
-  | "proportional" -> Attack.Base_state.proportional grid
-  | _ ->
-    if grid.N.n_buses = 5 then
-      Attack.Base_state.of_dispatch grid
-        ~gen:(Grid.Test_systems.case_study_base_dispatch ())
-    else Attack.Base_state.of_opf grid
+let base_kind_of = function
+  | "opf" -> `Opf
+  | "proportional" -> `Proportional
+  | _ -> `Case_study
 
 let qs v = Q.to_decimal_string ~digits:6 v
 
@@ -183,7 +174,9 @@ let execute ~store (job : job) =
       }
   in
   let base =
-    match base_state_of spec submit.Protocol.base with
+    match
+      I.base_state ~store (base_kind_of submit.Protocol.base) spec.Grid.Spec.grid
+    with
     | Ok b -> b
     | Error e -> failwith ("base state: " ^ e)
   in
@@ -479,10 +472,10 @@ let metrics_text t =
   Buffer.add_string buf (Obs.to_prometheus ~namespace:"topoguard" snap);
   Buffer.contents buf
 
-(* the export side of a peer's warm-start pull: every resident job:/
-   verify: entry whose ring point falls inside the requested ranges
-   (inclusive; empty = everything).  Values are opaque — the peer inserts
-   them into its own store (journaling them) without decoding. *)
+(* the export side of a peer's warm-start pull: every resident job:,
+   verify: and base: entry whose ring point falls inside the requested
+   ranges (inclusive; empty = everything).  Values are opaque — the peer
+   inserts them into its own store (journaling them) without decoding. *)
 let handle_sync t ranges =
   let in_ranges key =
     ranges = []
@@ -490,7 +483,9 @@ let handle_sync t ranges =
         List.exists (fun (lo, hi) -> lo <= p && p <= hi) ranges)
   in
   let wanted key =
-    String.starts_with ~prefix:"job:" key || String.starts_with ~prefix:"verify:" key
+    List.exists
+      (fun prefix -> String.starts_with ~prefix key)
+      [ "job:"; "verify:"; "base:" ]
   in
   let entries =
     Store.Cache.fold t.store ~init:[] ~f:(fun acc ~key ~value ->
@@ -635,10 +630,10 @@ let expire_waits t =
 (* ---- warm start: pull this shard's key ranges from peer journals ---- *)
 
 (* a restarted shard rejoins warm: after replaying its own journal it
-   asks each peer for the job:/verify: entries of its ring ranges and
-   inserts them (journaling them locally, so the next restart needs no
-   peers).  Peer failures are logged and skipped — a missing peer only
-   costs cache warmth, never startup. *)
+   asks each peer for the job:/verify:/base: entries of its ring ranges
+   and inserts them (journaling them locally, so the next restart needs
+   no peers).  Peer failures are logged and skipped — a missing peer
+   only costs cache warmth, never startup. *)
 let warm_from_peers t =
   List.iter
     (fun peer ->

@@ -57,7 +57,7 @@ type config = {
   sync_peers : Transport.endpoint list;
       (** peers to pull a journal warm-start from before accepting
           connections: after replaying its own journal, the server asks
-          each peer to [sync] the [job:]/[verify:] entries of
+          each peer to [sync] the [job:]/[verify:]/[base:] entries of
           [sync_ranges] and inserts them.  A peer that is down only
           costs cache warmth, never startup. *)
   sync_ranges : (int * int) list;

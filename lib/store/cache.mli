@@ -5,7 +5,8 @@
 
     Keys are opaque strings — callers derive them from {!Canonical} and
     namespace them (the scenario service uses [job:<hash>], the impact
-    loop [verify:<hash>]).  Values are opaque byte strings.
+    loop [verify:<hash>] and [base:<tag>:...]).  Values are opaque byte
+    strings.
 
     Thread-safe: one mutex serialises LRU mutation and journal appends,
     so pool workers (verification caching) and the server loop can share

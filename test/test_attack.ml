@@ -399,7 +399,9 @@ let single_line_tests =
           Topoguard.Evaluation.randomize_scenario ~seed:5 (TS.ieee 14)
         in
         let base =
-          match Topoguard.Evaluation.base_state_for scenario with
+          match
+            Topoguard.Impact.base_state `Case_study scenario.Grid.Spec.grid
+          with
           | Ok b -> b
           | Error e -> failwith e
         in

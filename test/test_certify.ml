@@ -294,16 +294,21 @@ let store_tests =
         in
         (* certified-float run populates the store under the shared
            "exact" backend tag... *)
+        let entries prefix =
+          Store.Cache.fold cache ~init:0 ~f:(fun n ~key ~value:_ ->
+              if String.starts_with ~prefix key then n + 1 else n)
+        in
         let s1, ok_d = counting c_ok (fun () -> run I.Fast_factors) in
         Alcotest.(check bool) "certified solves ran" true (ok_d >= 1);
-        let filled = Store.Cache.length cache in
+        let filled = entries "verify:" and bases = entries "base:" in
         Alcotest.(check bool) "store populated" true (filled > 0);
         (* ...and the exact backend hits every one of those entries: no
-           new entry is written, and the cached poisoned cost is reused
-           verbatim *)
+           new verify entry is written, and the cached poisoned cost is
+           reused verbatim.  Only its attack-free OPF is new: the angle
+           formulation never shares the shift-factor base: entry *)
         let s2 = run I.Lp_exact in
-        Alcotest.(check int) "no new store entries" filled
-          (Store.Cache.length cache);
+        Alcotest.(check int) "no new store entries" filled (entries "verify:");
+        Alcotest.(check int) "one new base: entry" (bases + 1) (entries "base:");
         (match (s1.I.poisoned_cost, s2.I.poisoned_cost) with
         | Some a, Some b -> Alcotest.check qc "cached poisoned cost reused" a b
         | _ -> Alcotest.fail "LP backends must report a poisoned cost");

@@ -497,6 +497,43 @@ let server_tests =
               | _ -> Alcotest.fail "offline result mismatch")
             | Ok None -> Alcotest.fail "offline lookup missed"
             | Error e -> Alcotest.failf "offline lookup: %s" e));
+    Alcotest.test_case "sync exports the base OPF entries" `Slow (fun () ->
+        with_server "base" (fun _ c ->
+            let run submit =
+              let r = expect_ok (Serve.Client.submit c submit) in
+              match Serve.Client.await c ~id:(int_field "id" r) ~timeout:60. () with
+              | Ok ("done", Some result) -> result
+              | Ok (st, _) -> Alcotest.failf "job ended as %s" st
+              | Error e -> Alcotest.failf "await: %s" e
+            in
+            ignore (run (submit_of 0.));
+            (* a 14-bus job on the OPF base state and the shift-factor
+               backend, at a target above the cost ceiling: the audit
+               prunes every candidate, so its one LP is the attack-free
+               OPF, solved for the base state and read back by the
+               analysis *)
+            let solves = counter "opf.float_opf.solves" in
+            let result =
+              run
+                {
+                  (submit_of 0.) with
+                  P.grid = Grid.Spec.print (Grid.Test_systems.ieee 14);
+                  base = "opf";
+                  backend = "factors";
+                  increase = Some "100000";
+                }
+            in
+            Alcotest.(check string) "no attack" "no_attack" (str_field "outcome" result);
+            Alcotest.(check int) "one shift-factor OPF" 1
+              (counter "opf.float_opf.solves" - solves);
+            match Serve.Client.sync c ~ranges:[] with
+            | Error e -> Alcotest.failf "sync: %s" e
+            | Ok entries ->
+              List.iter
+                (fun prefix ->
+                  Alcotest.(check bool) (prefix ^ " entries exported") true
+                    (List.exists (fun (key, _) -> String.starts_with ~prefix key) entries))
+                [ "job:"; "verify:"; "base:angle:"; "base:ptdf:" ]));
     Alcotest.test_case "cancel of a queued job and drain on shutdown" `Slow
       (fun () ->
         let socket =

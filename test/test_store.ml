@@ -505,6 +505,237 @@ let cache_tests =
           Store.Cache.close c);
   ]
 
+(* ---- the impact loop's store memo: base: and verify: entries ---- *)
+
+module I = Topoguard.Impact
+
+let counter name =
+  Option.value ~default:0 (List.assoc_opt name (Obs.snapshot ()).Obs.counters)
+
+let opf_solves () = counter "opf.dc_opf.solves" + counter "opf.float_opf.solves"
+let lp_pivots () = counter "lp.exact.pivots" + counter "lp.float.pivots"
+
+(* [f ()] and the OPF solves it ran *)
+let delta f =
+  let before = opf_solves () in
+  let r = f () in
+  (r, opf_solves () - before)
+
+let fresh_store ?journal () =
+  match Store.Cache.create ?journal () with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "store: %s" e
+
+let entries store prefix =
+  Store.Cache.fold store ~init:[] ~f:(fun acc ~key ~value ->
+      if String.starts_with ~prefix key then (key, value) :: acc else acc)
+
+let base_of kind (spec : Grid.Spec.t) =
+  match I.base_state kind spec.Grid.Spec.grid with
+  | Ok b -> b
+  | Error e -> Alcotest.failf "base state: %s" e
+
+(* every field of an outcome, so equal strings mean equal answers *)
+let render = function
+  | I.Attack_found s ->
+    let v = s.I.vector in
+    let ints l = String.concat "," (List.map string_of_int l) in
+    Printf.sprintf "attack ex=%s in=%s alt=%s buses=%s base=%s thr=%s cost=%s n=%d"
+      (ints v.Attack.Vector.excluded) (ints v.Attack.Vector.included)
+      (ints v.Attack.Vector.altered) (ints v.Attack.Vector.buses)
+      (Q.to_string s.I.base_cost) (Q.to_string s.I.threshold)
+      (Option.fold ~none:"-" ~some:Q.to_string s.I.poisoned_cost)
+      s.I.candidates
+  | I.No_attack { candidates } -> Printf.sprintf "no attack n=%d" candidates
+  | I.Base_infeasible e -> "base infeasible: " ^ e
+
+(* the service's settings (closed-form single-line enumeration), as a
+   rendered outcome *)
+let analyze ?store backend (spec : Grid.Spec.t) base pct =
+  let config =
+    {
+      I.default_config with
+      I.backend;
+      use_closed_form = true;
+      max_topology_changes = Some 1;
+      store;
+    }
+  in
+  let scenario = { spec with Grid.Spec.min_increase_pct = pct } in
+  render (I.analyze ~config ~scenario ~base ())
+
+let grids () = [ ("5-bus", case5 (), `Case_study); ("14-bus", ieee14 (), `Opf) ]
+let backends = [ ("lp", I.Lp_exact); ("factors", I.Fast_factors) ]
+
+(* targets far above the static cost ceiling: the audit prunes every
+   candidate, so the base OPF is the only solve an analysis runs *)
+let unattainable = [ Q.of_int 100_000; Q.of_int 200_000; Q.of_int 500_000 ]
+
+(* descending attainable targets: each scan stops at or before the
+   previous winner, so every candidate it reaches is already verified *)
+let attainable = [ q 3 1; q 2 1; q 1 1; q 1 2 ]
+
+(* the analyses on [store] must answer as the store-less ones do;
+   returns the OPF solves of each *)
+let check_against_uncached ~what ~store backend spec base targets =
+  let expected = List.map (analyze backend spec base) targets in
+  let got =
+    List.map (fun pct -> delta (fun () -> analyze ~store backend spec base pct)) targets
+  in
+  Alcotest.(check (list string)) (what ^ ": outcomes equal the store-less runs")
+    expected (List.map fst got);
+  List.map snd got
+
+(* the entries a 5-bus analysis leaves in a store, then [value] stored
+   under each of those keys in a fresh one *)
+let seeded_store ~value spec base pct =
+  let filled = fresh_store () in
+  ignore (analyze ~store:filled I.Lp_exact spec base pct);
+  let seeded = fresh_store () in
+  let keys = List.map fst (entries filled "verify:" @ entries filled "base:") in
+  List.iter (fun key -> Store.Cache.add seeded ~key ~value:(value key)) keys;
+  (seeded, keys)
+
+let memo_tests =
+  [
+    Alcotest.test_case "one base OPF per grid and formulation" `Quick (fun () ->
+        List.iter
+          (fun (gname, spec, kind) ->
+            let base = base_of kind spec in
+            List.iter
+              (fun (bname, backend) ->
+                let what = gname ^ " " ^ bname in
+                let store = fresh_store () in
+                let solves =
+                  check_against_uncached ~what ~store backend spec base unattainable
+                in
+                Alcotest.(check int) (what ^ ": one base solve") 1
+                  (List.fold_left ( + ) 0 solves);
+                (match
+                   check_against_uncached ~what ~store backend spec base attainable
+                 with
+                | _ :: later ->
+                  List.iter
+                    (Alcotest.(check int) (what ^ ": later targets solve nothing") 0)
+                    later
+                | [] -> ());
+                Alcotest.(check int) (what ^ ": one base: entry") 1
+                  (List.length (entries store "base:")))
+              backends)
+          (grids ()));
+    Alcotest.test_case "a row-permuted copy gets its own base entry" `Quick
+      (fun () ->
+        let spec = ieee14 () and permuted = permute_spec 3 (ieee14 ()) in
+        let store = fresh_store () in
+        List.iter
+          (fun (bname, backend) ->
+            List.iter
+              (fun (what, spec) ->
+                ignore
+                  (check_against_uncached ~what:(what ^ " " ^ bname) ~store backend
+                     spec (base_of `Opf spec) [ q 1 1 ]))
+              [ ("14-bus", spec); ("permuted", permuted) ])
+          backends;
+        (* pg is indexed by generator row: the copy never reads the
+           original's dispatch *)
+        Alcotest.(check int) "two base: entries per formulation" 4
+          (List.length (entries store "base:")));
+    Alcotest.test_case "an infeasible base is memoised" `Quick (fun () ->
+        let spec = case5 () in
+        let grid = spec.Grid.Spec.grid in
+        let heavy (l : N.load) =
+          { l with N.existing = Q.mul (Q.of_int 100) l.N.existing }
+        in
+        let heavy =
+          {
+            spec with
+            Grid.Spec.grid = { grid with N.loads = Array.map heavy grid.N.loads };
+          }
+        in
+        let base = base_of `Case_study spec in
+        List.iter
+          (fun (bname, backend) ->
+            let store = fresh_store () in
+            let expected = analyze backend heavy base (q 3 1) in
+            Alcotest.(check bool) (bname ^ ": reported as base infeasible") true
+              (String.starts_with ~prefix:"base infeasible" expected);
+            let run () = delta (fun () -> analyze ~store backend heavy base (q 3 1)) in
+            let first, n1 = run () in
+            let second, n2 = run () in
+            Alcotest.(check (list string)) (bname ^ ": outcomes") [ expected; expected ]
+              [ first; second ];
+            Alcotest.(check (pair int int)) (bname ^ ": solved once") (1, 0) (n1, n2);
+            Alcotest.(check (list string)) (bname ^ ": stored verdict") [ "infeasible" ]
+              (List.map snd (entries store "base:")))
+          backends);
+    Alcotest.test_case "a reopened journal serves the base entry" `Quick
+      (fun () ->
+        let path = tmp "tg-base-memo.j" in
+        if Sys.file_exists path then Sys.remove path;
+        Fun.protect
+          ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+          (fun () ->
+            let spec = case5 () in
+            let base = base_of `Case_study spec in
+            let run () =
+              let store = fresh_store ~journal:path () in
+              let pct = List.hd unattainable in
+              let r = delta (fun () -> analyze ~store I.Lp_exact spec base pct) in
+              Store.Cache.close store;
+              r
+            in
+            let first, n1 = run () in
+            let pivots = lp_pivots () in
+            let again, n2 = run () in
+            Alcotest.(check string) "same outcome" first again;
+            Alcotest.(check (pair int int)) "LP solves before and after the reopen" (1, 0)
+              (n1, n2);
+            Alcotest.(check int) "no LP pivots" pivots (lp_pivots ())));
+    Alcotest.test_case "a zero denominator in a stored value is a miss" `Quick
+      (fun () ->
+        let spec = case5 () in
+        let base = base_of `Case_study spec in
+        let n_gens = Array.length spec.Grid.Spec.grid.N.gens in
+        let value key =
+          if String.starts_with ~prefix:"verify:" key then "cost 1/0"
+          else String.concat " " ("optimal" :: List.init (1 + n_gens) (fun _ -> "1/0"))
+        in
+        let seeded, _ = seeded_store ~value spec base (q 3 1) in
+        Alcotest.(check string) "outcome equals the store-less run"
+          (analyze I.Lp_exact spec base (q 3 1))
+          (analyze ~store:seeded I.Lp_exact spec base (q 3 1)));
+    Alcotest.test_case "an undecodable entry is replaced" `Quick (fun () ->
+        let spec = case5 () in
+        let base = base_of `Case_study spec in
+        let seeded, keys = seeded_store ~value:(fun _ -> "garbage") spec base (q 3 1) in
+        Alcotest.(check bool) "verify: entries to corrupt" true
+          (List.exists (String.starts_with ~prefix:"verify:") keys);
+        ignore (analyze ~store:seeded I.Lp_exact spec base (q 3 1));
+        List.iter
+          (fun key ->
+            Alcotest.(check bool) (key ^ " replaced") true
+              (Store.Cache.find seeded key <> Some "garbage"))
+          keys;
+        let _, n = delta (fun () -> analyze ~store:seeded I.Lp_exact spec base (q 3 1)) in
+        Alcotest.(check int) "the next analysis solves nothing" 0 n);
+    Alcotest.test_case "max increase reuses the store" `Quick (fun () ->
+        let spec = case5 () in
+        let base = base_of `Case_study spec in
+        let store = fresh_store () in
+        let max_increase store =
+          let config = { I.default_config with I.store } in
+          Option.fold ~none:"none" ~some:Q.to_string
+            (I.max_achievable_increase ~config ~scenario:spec ~base ())
+        in
+        let uncached = max_increase None in
+        let first = max_increase (Some store) in
+        let pivots = lp_pivots () in
+        let second = max_increase (Some store) in
+        Alcotest.(check (list string)) "same maximum" [ uncached; uncached ]
+          [ first; second ];
+        Alcotest.(check int) "no new LP pivots" pivots (lp_pivots ()));
+  ]
+
 let () =
   Alcotest.run "store"
     [
@@ -513,4 +744,5 @@ let () =
       ("lru", lru_tests);
       ("journal", journal_tests);
       ("cache", cache_tests);
+      ("memo", memo_tests);
     ]
