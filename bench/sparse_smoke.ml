@@ -5,8 +5,8 @@
      the sparse LU ({!Opf.Factors.ptdf_row}, one transposed solve per
      line) must match a dense reference computed from {!Linalg.Lu}'s
      explicit inverse of the reduced susceptance matrix; on the 118-bus
-     system the certified sparse-path OPF cost must agree with the
-     exact shift-factor simplex up to factor rounding.
+     system the certified sparse-path OPF cost must equal the exact
+     simplex's optimum of the same shift-factor LP.
    - generator: a seeded 300-bus synthetic grid is byte-identical across
      two generations, lints with zero errors, solves the base OPF on the
      certified backend, and completes one single-line impact
@@ -14,7 +14,8 @@
    - the sparse machinery is actually exercised: linalg.lu.fill_in and
      opf.ptdf.rows_computed must be nonzero.
 
-   CI entry point: dune build @sparse-smoke  (budget: < 30 s) *)
+   CI entry point: dune build @sparse-smoke  (25-45 s on a 2-core host,
+   bounded by the 118-bus exact-simplex reference; budget: < 60 s) *)
 
 module Q = Numeric.Rat
 module N = Grid.Network
@@ -88,13 +89,12 @@ let () =
   Obs.set_enabled true;
   let t0 = Unix.gettimeofday () in
 
-  (* 1. certified sparse-path cost == exact shift-factor cost on 118-bus
-     (both sides optimize over rounded PTDF coefficients — 1e-6 steps on
-     the certified path, 1e-5 on the exact simplex — so agreement is up
-     to rounding, not bit-exact).  The exact rational simplex dominates
-     the smoke's wall clock, so it runs on its own domain while the
-     generator and agreement checks proceed; the Obs counters asserted at
-     the end are atomic (see pool-smoke). *)
+  (* 1. certified sparse-path cost == exact shift-factor cost on 118-bus:
+     Float_opf.solve and Float_opf.solve_exact pose the identical LP, so
+     the two optima are equal rationals.  The exact rational simplex
+     dominates the smoke's wall clock, so it runs on its own domain while
+     the generator and agreement checks proceed; the Obs counters asserted
+     at the end are atomic (see pool-smoke). *)
   let cost_118 =
     Domain.spawn (fun () ->
         match Grid.Spec.parse_file "../data/118.grid" with
@@ -105,9 +105,10 @@ let () =
             (solved "118 certified" (Opf.Float_opf.solve topo)).Opf.Dc_opf.cost
           in
           let exact =
-            (solved "118 exact" (Opf.Fast_opf.solve topo)).Opf.Dc_opf.cost
+            (solved "118 exact" (Opf.Float_opf.solve_exact topo))
+              .Opf.Dc_opf.cost
           in
-          (Q.to_float certified, Q.to_float exact))
+          (certified, exact))
   in
 
   (* 2. sparse-vs-dense PTDF agreement on every bundled grid *)
@@ -155,8 +156,9 @@ let () =
     if candidates < 1 then fail "gen 300: no candidate verified");
 
   let c, e = Domain.join cost_118 in
-  if Float.abs (c -. e) > 1e-4 *. Float.abs e then
-    fail "118-bus cost: certified sparse %.6f vs exact %.6f" c e;
+  if not (Q.equal c e) then
+    fail "118-bus cost: certified sparse %s vs exact %s" (Q.to_string c)
+      (Q.to_string e);
 
   (* 5. counters: the sparse machinery really ran, every certificate
      validated *)

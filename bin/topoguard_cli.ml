@@ -241,7 +241,7 @@ let opf_cmd =
   let run file fast stats =
     let spec = load_spec file in
     let topo = Grid.Topology.make spec.Grid.Spec.grid in
-    let solve = if fast then Opf.Fast_opf.solve else Opf.Dc_opf.solve in
+    let solve = if fast then Opf.Float_opf.solve else Opf.Dc_opf.solve in
     with_stats stats @@ fun () ->
     match solve topo with
     | Opf.Dc_opf.Dispatch d ->

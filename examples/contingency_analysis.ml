@@ -11,12 +11,12 @@ module T = Grid.Topology
 
 let qs v = Q.to_decimal_string ~digits:2 v
 
-let report name topo outcome =
+let report ~emergency_factor name topo outcome =
   match outcome with
   | Opf.Dc_opf.Dispatch d ->
     Format.printf "@.%s: dispatch cost $%s@." name (qs d.Opf.Dc_opf.cost);
     let base_flows = Array.map Q.to_float d.Opf.Dc_opf.flows in
-    (match Opf.Contingency.screen topo ~base_flows with
+    (match Opf.Contingency.screen ~emergency_factor topo ~base_flows with
     | [] -> Format.printf "  N-1 secure: no credible outage overloads a line@."
     | violations ->
       List.iter
@@ -40,26 +40,31 @@ let () =
   let topo = T.make grid in
 
   (* 1. the cost-optimal dispatch usually fails N-1 screening *)
-  ignore (report "economic dispatch (plain OPF)" topo (Opf.Float_opf.solve topo));
+  ignore
+    (report ~emergency_factor:1.2 "economic dispatch (plain OPF)" topo
+       (Opf.Float_opf.solve topo));
 
-  (* 2. the security-constrained OPF pays a premium for N-1 security *)
+  (* 2. the security-constrained OPF pays a premium for N-1 security: on
+     the 5-bus system at 2x emergency ratings the plain dispatch costs
+     $1474.68 and the secure one $1552.42 (IEEE-14 has no secure dispatch
+     below 5.6x) *)
+  let five = Grid.Test_systems.five_bus () in
+  let true_topo = T.make five in
   (match
-     ( Opf.Float_opf.solve topo,
-       report "security-constrained OPF (emergency rating 2.0x)"
-         topo (Opf.Contingency.sc_opf ~emergency_factor:2.0 topo) )
+     ( report ~emergency_factor:2.0 "5-bus economic dispatch (plain OPF)"
+         true_topo (Opf.Float_opf.solve true_topo),
+       report ~emergency_factor:2.0
+         "5-bus security-constrained OPF (emergency rating 2.0x)" true_topo
+         (Opf.Contingency.sc_opf ~emergency_factor:2.0 true_topo) )
    with
-  | Opf.Dc_opf.Dispatch plain, Some secure ->
-    let premium =
-      Q.to_float secure.Opf.Dc_opf.cost -. Q.to_float plain.Opf.Dc_opf.cost
-    in
-    Format.printf "@.security premium: $%.2f/h@." premium
+  | Some plain, Some secure ->
+    Format.printf "@.security premium: $%s/h@."
+      (qs (Q.sub secure.Opf.Dc_opf.cost plain.Opf.Dc_opf.cost))
   | _ -> ());
 
   (* 3. a poisoned topology corrupts the assessment: with line 6 of the
      5-bus system excluded from the model, the operator's screening runs
      on the wrong network *)
-  let five = Grid.Test_systems.five_bus () in
-  let true_topo = T.make five in
   let mapped = N.true_topology five in
   mapped.(5) <- false;
   let poisoned = T.make ~mapped five in

@@ -1,16 +1,16 @@
-(** Optimum-preserving LP presolve, generic over the coefficient field so
-    the exact-rational [Lp] and the IEEE-double [Flp] simplex solvers share
-    one implementation.
+(** Optimum-preserving exact LP presolve, shared by the exact-rational
+    {!Lp} simplex and the certified float pipeline ({!Certify}), which
+    presolves in rationals before its float solve.
 
     The problem is a box [lo <= x <= hi] plus two-sided linear rows
-    [rlo <= terms . x <= rhi] ([None] = free side).  {!S.run} applies, to a
+    [rlo <= terms . x <= rhi] ([None] = free side).  {!run} applies, to a
     fixpoint:
 
     - {b fixed-variable substitution}: a variable with [lo = hi] is folded
       into every row's bounds and removed from its terms;
     - {b empty-row elimination}: a row with no (remaining) terms is
-      dropped when trivially satisfied, and is a witness of infeasibility
-      when violated beyond the field's safety margin;
+      dropped when satisfied, and is a witness of infeasibility when
+      violated;
     - {b singleton-row-to-bound}: a row with one term [c*x] becomes a
       bound on [x] and is dropped;
     - {b duplicate-row merging}: rows whose terms are proportional merge
@@ -21,64 +21,37 @@
       a row whose activity range cannot reach its bounds stops the solve
       before simplex.
 
-    Every rule preserves the feasible region exactly (up to the float
-    margin), so objective value and solve status are unchanged; only the
-    tableau the simplex has to pivot over shrinks. *)
+    Every rule preserves the feasible region exactly, so objective value
+    and solve status are unchanged; only the tableau the simplex has to
+    pivot over shrinks. *)
 
-module type NUM = sig
-  type t
+type row = {
+  terms : (int * Numeric.Rat.t) list;  (** variable id, coefficient *)
+  lo : Numeric.Rat.t option;
+  hi : Numeric.Rat.t option;
+}
 
-  val zero : t
-  val compare : t -> t -> int
-  val add : t -> t -> t
-  val mul : t -> t -> t
-  val div : t -> t -> t
-  val neg : t -> t
+type stats = {
+  rows_eliminated : int;
+  bounds_tightened : int;
+  vars_fixed : int;
+}
 
-  val negligible : t -> bool
-  (** Coefficients to treat as zero (exact: [= 0]; float: [|c| < 1e-12]). *)
+type outcome =
+  | Reduced of {
+      lo : Numeric.Rat.t option array;
+      hi : Numeric.Rat.t option array;
+      rows : row list;  (** surviving rows, input order preserved *)
+      fixed : (int * Numeric.Rat.t) list;  (** variables pinned by presolve *)
+      stats : stats;
+    }
+  | Infeasible of { reason : string; stats : stats }
 
-  val margin : t
-  (** Safety margin for drop/infeasibility decisions.  Zero for exact
-      arithmetic; a few orders above the simplex epsilon for floats, so
-      presolve never decides a case the simplex would decide the other
-      way. *)
-
-  val to_string : t -> string
-end
-
-module type S = sig
-  type num
-
-  type row = {
-    terms : (int * num) list;  (** variable id, coefficient *)
-    lo : num option;
-    hi : num option;
-  }
-
-  type stats = {
-    rows_eliminated : int;
-    bounds_tightened : int;
-    vars_fixed : int;
-  }
-
-  type outcome =
-    | Reduced of {
-        lo : num option array;
-        hi : num option array;
-        rows : row list;  (** surviving rows, input order preserved *)
-        fixed : (int * num) list;  (** variables pinned by presolve *)
-        stats : stats;
-      }
-    | Infeasible of { reason : string; stats : stats }
-
-  val run : n_vars:int -> lo:num option array -> hi:num option array ->
-    row list -> outcome
-  (** The input arrays are not mutated; [Reduced] carries tightened
-      copies. *)
-end
-
-module Make (N : NUM) : S with type num = N.t
-
-module Exact : S with type num = Numeric.Rat.t
-module Float : S with type num = float
+val run :
+  n_vars:int ->
+  lo:Numeric.Rat.t option array ->
+  hi:Numeric.Rat.t option array ->
+  row list ->
+  outcome
+(** The input arrays are not mutated; [Reduced] carries tightened
+    copies. *)

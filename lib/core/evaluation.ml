@@ -227,11 +227,7 @@ let unsat_opf_model_run spec =
   let grid = spec.Grid.Spec.grid in
   let size = grid.N.n_buses in
   let topo = Grid.Topology.make grid in
-  let base_solve g =
-    if g.N.n_buses <= 20 then Opf.Dc_opf.base_case g
-    else Opf.Fast_opf.solve (Grid.Topology.make g)
-  in
-  match base_solve grid with
+  match Opf.Float_opf.solve topo with
   | Opf.Dc_opf.Infeasible | Opf.Dc_opf.Unbounded ->
     {
       label = "unsat-opf-model";

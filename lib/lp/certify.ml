@@ -7,15 +7,15 @@
 module Q = Numeric.Rat
 module B = Numeric.Bigint
 module Imap = Map.Make (Int)
-module P = Analysis.Presolve.Exact
+module P = Analysis.Presolve
 
 let c_ok = Obs.Counter.make "lp.certify.ok"
 let c_fail = Obs.Counter.make "lp.certify.fail"
 let c_fallback = Obs.Counter.make "lp.certify.fallback"
 let h_seconds = Obs.Histogram.make "lp.certify.seconds"
 
-(* presolve runs here (exactly, before the float solve) rather than inside
-   Flp, so its activity reports through the same shared counters *)
+(* the exact presolve runs here, before the float solve; its counters are
+   shared with Lp *)
 let c_rows_eliminated = Obs.Counter.make "lp.presolve.rows_eliminated"
 let c_bounds_tightened = Obs.Counter.make "lp.presolve.bounds_tightened"
 let c_vars_fixed = Obs.Counter.make "lp.presolve.vars_fixed"
@@ -75,7 +75,7 @@ exception Reject of string
    box and, per row k, [rlo_k <= a_k . x <= rhi_k] — equivalently
    [a_k . x - s_k = 0] with slack s_k boxed by the row bounds.  Variable
    ids: user vars [0..n-1], slack for row k at [n + k] (the layout Flp
-   produces under [~presolve:false] with {!Flp.add_range}).
+   produces, one {!Flp.add_range} slack per row).
 
    Given the certificate's basic/nonbasic split: pin every nonbasic
    variable to its claimed bound (exactly), solve the square basic system
@@ -304,8 +304,7 @@ let minimize ?mangle_cert t obj ~constant =
   in
   (* exact presolve up front: the float solve then runs on the reduced
      problem, and the certificate is checked against that same exact
-     reduction (margin zero, so no float-presolve decision can leak into a
-     certified answer) *)
+     reduction *)
   match P.run ~n_vars:n ~lo:plo ~hi:phi prows with
   | P.Infeasible { stats; _ } ->
     report_stats stats;
@@ -314,7 +313,7 @@ let minimize ?mangle_cert t obj ~constant =
   | P.Reduced { lo; hi; rows; fixed = _; stats } ->
     report_stats stats;
     let rows = Array.of_list rows in
-    let f = Flp.create ~presolve:false () in
+    let f = Flp.create () in
     let fl = function Some q -> Q.to_float q | None -> neg_infinity in
     let fh = function Some q -> Q.to_float q | None -> infinity in
     for v = 0 to n - 1 do

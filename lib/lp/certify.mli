@@ -3,10 +3,10 @@
 
     The pipeline behind {!minimize}:
 
-    + exact presolve ({!Analysis.Presolve.Exact}, margin zero) on the
-      recorded problem — an [Infeasible] verdict here is already sound;
-    + float simplex ({!Flp}, presolve off) on the reduced problem, which
-      emits a {{!Flp.certificate} basis certificate} at optimality;
+    + exact presolve ({!Analysis.Presolve}) on the recorded problem — an
+      [Infeasible] verdict here is already sound;
+    + float simplex ({!Flp}) on the reduced problem, which emits a
+      {{!Flp.certificate} basis certificate} at optimality;
     + one exact refactorization of the certified basis with the
       fraction-free {!Linalg.Bareiss} kernel: pin nonbasic variables to
       their claimed bounds, solve the square basic system in rationals,

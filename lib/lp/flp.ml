@@ -1,10 +1,9 @@
-(* Float bounded-variable simplex.  Mirrors Lp's structure: deferred
-   tableau build behind an optimum-preserving presolve, slack per
-   surviving constraint row, phase-I bound repair, phase-II objective
-   descent, both under Bland's rule, with epsilon comparisons. *)
+(* Float bounded-variable simplex, the float engine of Certify.  Mirrors
+   Lp's structure: deferred tableau build, one slack per recorded row,
+   phase-I bound repair, phase-II objective descent, both under Bland's
+   rule, with epsilon comparisons. *)
 
 module Imap = Map.Make (Int)
-module P = Analysis.Presolve.Float
 
 let eps = 1e-9
 
@@ -18,19 +17,9 @@ type var_status = Basic | At_lower | At_upper | Between of float
 
 type certificate = { statuses : var_status array }
 
-let presolve_default = ref true
-
-(* the lp.presolve.* counters are shared with Lp *)
-let c_rows_eliminated = Obs.Counter.make "lp.presolve.rows_eliminated"
-let c_bounds_tightened = Obs.Counter.make "lp.presolve.bounds_tightened"
-let c_vars_fixed = Obs.Counter.make "lp.presolve.vars_fixed"
-let c_presolve_infeasible = Obs.Counter.make "lp.presolve.infeasible"
 let c_pivots = Obs.Counter.make "lp.float.pivots"
 let c_stall = Obs.Counter.make "lp.float.stall"
 let h_pivots = Obs.Histogram.make "lp.float.pivots_per_solve"
-
-(* shared with Lp, like the presolve counters *)
-let h_presolve_rows = Obs.Histogram.make "lp.presolve.rows_eliminated_per_solve"
 
 type pending = {
   pterms : (int * float) list;
@@ -47,11 +36,10 @@ type t = {
   mutable pending : pending list; (* reversed insertion order *)
   mutable pivots : int;
   mutable user_vars : int;
-  presolve : bool;
   mutable built : bool;
 }
 
-let create ?presolve () =
+let create () =
   {
     nvars = 0;
     lo = Array.make 16 neg_infinity;
@@ -61,11 +49,8 @@ let create ?presolve () =
     pending = [];
     pivots = 0;
     user_vars = 0;
-    presolve = Option.value presolve ~default:!presolve_default;
     built = false;
   }
-
-let n_pivots t = t.pivots
 
 let grow t =
   let cap = Array.length t.beta in
@@ -101,37 +86,29 @@ let add_var ?lo ?hi t =
 let set_initial t v x =
   t.beta.(v) <- Float.min t.hi.(v) (Float.max t.lo.(v) x)
 
-let normalize_terms t terms =
+(* rows and the objective range over user variables only, so merging
+   repeated variables (dropping sums below eps) is all a row needs *)
+let normalize_terms terms =
   List.fold_left
     (fun acc (v, c) ->
-      let merge w cw acc =
-        Imap.update w
-          (function
-            | None -> if Float.abs cw < eps then None else Some cw
-            | Some c0 ->
-              let s = c0 +. cw in
-              if Float.abs s < eps then None else Some s)
-          acc
-      in
-      match Imap.find_opt v t.rows with
-      | None -> merge v c acc
-      | Some row -> Imap.fold (fun w cw acc -> merge w (c *. cw) acc) row acc)
+      Imap.update v
+        (function
+          | None -> if Float.abs c < eps then None else Some c
+          | Some c0 ->
+            let s = c0 +. c in
+            if Float.abs s < eps then None else Some s)
+        acc)
     Imap.empty terms
 
 let row_value t row =
   Imap.fold (fun v c acc -> acc +. (c *. t.beta.(v))) row 0.0
 
-let record_constraint t ?(lo = neg_infinity) ?(hi = infinity) terms =
+let add_range t terms ~lo ~hi =
   if t.built then invalid_arg "Flp: constraint added after minimize";
   t.pending <- { pterms = terms; plo = lo; phi = hi } :: t.pending
 
-let add_le t terms b = record_constraint t ~hi:b terms
-let add_ge t terms b = record_constraint t ~lo:b terms
-let add_eq t terms b = record_constraint t ~lo:b ~hi:b terms
-let add_range t terms ~lo ~hi = record_constraint t ~lo ~hi terms
-
 let install_row t terms lo hi =
-  let row = normalize_terms t terms in
+  let row = normalize_terms terms in
   let s = new_var t in
   t.lo.(s) <- lo;
   t.hi.(s) <- hi;
@@ -140,62 +117,15 @@ let install_row t terms lo hi =
 
 (* fresh unbounded slack for the objective *)
 let add_slack t terms =
-  let row = normalize_terms t terms in
+  let row = normalize_terms terms in
   let s = new_var t in
   t.rows <- Imap.add s row t.rows;
   t.beta.(s) <- row_value t row;
   s
 
-let report_stats (st : P.stats) =
-  Obs.Counter.add c_rows_eliminated st.P.rows_eliminated;
-  Obs.Counter.add c_bounds_tightened st.P.bounds_tightened;
-  Obs.Counter.add c_vars_fixed st.P.vars_fixed;
-  Obs.Histogram.observe_int h_presolve_rows st.P.rows_eliminated
-
-let opt_of_lo l = if l = neg_infinity then None else Some l
-let opt_of_hi h = if h = infinity then None else Some h
-
 let build t =
   t.built <- true;
-  let pend = List.rev t.pending in
-  if not t.presolve then begin
-    List.iter (fun p -> install_row t p.pterms p.plo p.phi) pend;
-    `Ok
-  end
-  else begin
-    let n = t.user_vars in
-    let lo = Array.init n (fun v -> opt_of_lo t.lo.(v)) in
-    let hi = Array.init n (fun v -> opt_of_hi t.hi.(v)) in
-    let rows =
-      List.map
-        (fun p ->
-          { P.terms = p.pterms; lo = opt_of_lo p.plo; hi = opt_of_hi p.phi })
-        pend
-    in
-    match P.run ~n_vars:n ~lo ~hi rows with
-    | P.Infeasible { stats; _ } ->
-      report_stats stats;
-      Obs.Counter.incr c_presolve_infeasible;
-      `Infeasible
-    | P.Reduced { lo; hi; rows; fixed; stats } ->
-      report_stats stats;
-      for v = 0 to n - 1 do
-        t.lo.(v) <- (match lo.(v) with Some l -> l | None -> neg_infinity);
-        t.hi.(v) <- (match hi.(v) with Some h -> h | None -> infinity)
-      done;
-      List.iter (fun (v, x) -> t.beta.(v) <- x) fixed;
-      (* re-clamp warm starts to the tightened box *)
-      for v = 0 to n - 1 do
-        t.beta.(v) <- Float.min t.hi.(v) (Float.max t.lo.(v) t.beta.(v))
-      done;
-      List.iter
-        (fun (r : P.row) ->
-          install_row t r.P.terms
-            (match r.P.lo with Some l -> l | None -> neg_infinity)
-            (match r.P.hi with Some h -> h | None -> infinity))
-        rows;
-      `Ok
-  end
+  List.iter (fun p -> install_row t p.pterms p.plo p.phi) (List.rev t.pending)
 
 let below_lo t x = t.beta.(x) < t.lo.(x) -. eps
 let above_hi t x = t.beta.(x) > t.hi.(x) +. eps
@@ -451,8 +381,8 @@ let optimize t tb z =
 (* Basis certificate: position of every variable except the objective
    slack [z] (which enters basic and never leaves — neither loop ever
    selects it as entering).  Nonbasic variables sitting strictly inside
-   their box (free variables, presolve-fixed values) are reported as
-   [Between] so the exact check can pin them to the float point. *)
+   their box (free variables) are reported as [Between] so the exact
+   check can pin them to the float point. *)
 let certificate t tb z =
   let statuses =
     Array.init z (fun v ->
@@ -471,26 +401,23 @@ let minimize_cert t obj ~constant =
     r
   in
   Obs.Trace.with_span "lp.float.minimize" @@ fun () ->
+  build t;
+  let z = add_slack t obj in
+  let tb = tab_of t in
+  let user_values () = Array.init t.user_vars (fun v -> t.beta.(v)) in
   finish
-    (match build t with
+    (match feasibility t tb with
     | `Infeasible -> (Infeasible, None)
-    | `Ok -> (
-      let z = add_slack t obj in
-      let tb = tab_of t in
-      let user_values () = Array.init t.user_vars (fun v -> t.beta.(v)) in
-      match feasibility t tb with
-      | `Infeasible -> (Infeasible, None)
+    | `Stall ->
+      Obs.Counter.incr c_stall;
+      (Stall { values = user_values () }, None)
+    | `Feasible -> (
+      match optimize t tb z with
+      | `Unbounded -> (Unbounded, None)
       | `Stall ->
         Obs.Counter.incr c_stall;
         (Stall { values = user_values () }, None)
-      | `Feasible -> (
-        match optimize t tb z with
-        | `Unbounded -> (Unbounded, None)
-        | `Stall ->
-          Obs.Counter.incr c_stall;
-          (Stall { values = user_values () }, None)
-        | `Optimal ->
-          ( Optimal { objective = t.beta.(z) +. constant; values = user_values () },
-            Some (certificate t tb z) ))))
-
-let minimize t obj ~constant = fst (minimize_cert t obj ~constant)
+      | `Optimal ->
+        ( Optimal
+            { objective = t.beta.(z) +. constant; values = user_values () },
+          Some (certificate t tb z) )))

@@ -1,17 +1,14 @@
-(** Float bounded-variable simplex — same algorithm as {!Lp} but in
-    IEEE-754 doubles with epsilon tolerances.
+(** Float bounded-variable simplex — the same algorithm as {!Lp} in
+    IEEE-754 doubles with epsilon tolerances — and the float engine of
+    {!Certify}, its only caller.
 
-    This is what production OPF engines use.  It exists here for the
-    largest test systems, where exact rational minors grow into hundreds of
-    digits, and as the numeric baseline the exact solver is compared
-    against (ablation ABL-FLOAT-LP).  Results carry a ~1e-7 tolerance and
-    no exactness guarantee.
-
-    Like {!Lp}, constraints are recorded and the tableau is built on the
-    [minimize] call behind an optimum-preserving presolve
-    ({!Analysis.Presolve.Float}, whose drop/infeasibility decisions keep a
-    1e-6 safety margin above this solver's 1e-9 epsilon).  Activity shows
-    up in the [lp.presolve.*] and [lp.float.pivots] {!Obs} counters. *)
+    On its own a float optimum carries no exactness guarantee; {!Certify}
+    runs this solver on a problem it has already presolved exactly, then
+    proves the returned {{!certificate} basis certificate} in rationals
+    or falls back to the exact simplex.  Rows are recorded with
+    {!add_range} and the tableau is built on the {!minimize_cert} call.
+    Activity shows up in the [lp.float.pivots] {!Obs} counter and the
+    [lp.float.minimize] trace span. *)
 
 type t
 
@@ -30,44 +27,27 @@ type result =
     Where each variable sat when phase II declared optimality: in the
     basis, at a bound, or (for nonbasic variables whose box allows it)
     strictly between bounds.  Indices cover user variables first, then one
-    slack per constraint row in insertion order — the layout used when the
-    solver is created with [~presolve:false]; under presolve the row set is
-    reduced and only {!Certify} (which presolves exactly up front) should
-    interpret the slack tail. *)
+    slack per recorded row in insertion order. *)
 
 type var_status = Basic | At_lower | At_upper | Between of float
 
 type certificate = { statuses : var_status array }
 
-val presolve_default : bool ref
-(** Whether newly created solvers presolve (default [true]); [create]'s
-    [?presolve] overrides it per instance. *)
-
-val create : ?presolve:bool -> unit -> t
+val create : unit -> t
 val add_var : ?lo:float -> ?hi:float -> t -> int
 
 val set_initial : t -> int -> float -> unit
 (** Warm start: initial value for a variable (clamped to bounds).  Call
-    before [minimize]. *)
-
-val add_le : t -> (int * float) list -> float -> unit
-(** [(var, coeff)] terms; constant right-hand side. *)
-
-val add_ge : t -> (int * float) list -> float -> unit
-val add_eq : t -> (int * float) list -> float -> unit
+    before [minimize_cert]. *)
 
 val add_range : t -> (int * float) list -> lo:float -> hi:float -> unit
 (** Two-sided row [lo <= terms . x <= hi] ([neg_infinity]/[infinity] for a
     free side) recorded as a single constraint — one slack, which keeps the
     certificate's slack indices aligned with row order (see {!Certify}). *)
 
-val minimize : t -> (int * float) list -> constant:float -> result
-(** Builds the tableau (one-shot: adding constraints afterwards raises
-    [Invalid_argument]) and solves. *)
-
 val minimize_cert :
   t -> (int * float) list -> constant:float -> result * certificate option
-(** Like {!minimize}, additionally returning the basis certificate —
-    present exactly when the result is [Optimal]. *)
-
-val n_pivots : t -> int
+(** Builds the tableau (one-shot: adding rows afterwards raises
+    [Invalid_argument]), minimizes [terms . x + constant], and returns
+    the basis certificate — present exactly when the result is
+    [Optimal]. *)

@@ -1,6 +1,6 @@
 module Q = Numeric.Rat
 module Imap = Map.Make (Int)
-module P = Analysis.Presolve.Exact
+module P = Analysis.Presolve
 
 type result =
   | Optimal of { objective : Q.t; values : Q.t array }
@@ -9,7 +9,7 @@ type result =
 
 let presolve_default = ref true
 
-(* shared with Flp: both solvers funnel through the same presolve rules *)
+(* shared with Certify, which runs the same exact presolve *)
 let c_rows_eliminated = Obs.Counter.make "lp.presolve.rows_eliminated"
 let c_bounds_tightened = Obs.Counter.make "lp.presolve.bounds_tightened"
 let c_vars_fixed = Obs.Counter.make "lp.presolve.vars_fixed"
@@ -17,7 +17,7 @@ let c_presolve_infeasible = Obs.Counter.make "lp.presolve.infeasible"
 let c_pivots = Obs.Counter.make "lp.exact.pivots"
 let h_pivots = Obs.Histogram.make "lp.exact.pivots_per_solve"
 
-(* shared with Flp, like the presolve counters *)
+(* shared with Certify, like the presolve counters *)
 let h_presolve_rows = Obs.Histogram.make "lp.presolve.rows_eliminated_per_solve"
 
 (* a constraint as recorded before the tableau exists; [<=] and [>=] over

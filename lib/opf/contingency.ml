@@ -50,145 +50,36 @@ let screen ?(emergency_factor = 1.2) ?(jobs = 1) (topo : Grid.Topology.t)
 let is_n1_secure ?emergency_factor ?jobs topo ~base_flows =
   screen ?emergency_factor ?jobs topo ~base_flows = []
 
+(* Each post-contingency limit is the float row ptdf_row i + d * ptdf_row k
+   (d the outage's LODF onto line i) at the emergency rating, rounded and
+   screened like a base row, so the whole LP is certified. *)
 let sc_opf ?(emergency_factor = 1.2) ?contingencies ?loads
     (topo : Grid.Topology.t) =
   let grid = topo.Grid.Topology.grid in
-  let b = grid.N.n_buses in
-  let loads =
-    match loads with
-    | Some v -> v
-    | None ->
-      let v = Array.make b Q.zero in
-      Array.iter (fun (l : N.load) -> v.(l.N.lbus) <- l.N.existing) grid.N.loads;
-      v
+  let emergency = Q.of_float emergency_factor in
+  let rating =
+    Array.map (fun (ln : N.line) -> Q.mul emergency ln.N.capacity) grid.N.lines
   in
-  match Factors.make topo with
-  | exception Failure _ -> Dc_opf.Infeasible
-  | factors ->
-    let contingencies =
-      match contingencies with
-      | Some cs -> cs
-      | None -> credible_outages topo factors
-    in
-    let loads_f = Array.map Q.to_float loads in
-    let lp = Flp.create () in
-    let pg =
-      Array.map
-        (fun (g : N.gen) ->
-          Flp.add_var ~lo:(Q.to_float g.N.pmin) ~hi:(Q.to_float g.N.pmax) lp)
-        grid.N.gens
-    in
-    let total_load = Array.fold_left ( +. ) 0.0 loads_f in
-    let cap_total =
-      Array.fold_left (fun acc (g : N.gen) -> acc +. Q.to_float g.N.pmax) 0.0
-        grid.N.gens
-    in
-    if cap_total > 0.0 then
-      Array.iteri
-        (fun k (g : N.gen) ->
-          Flp.set_initial lp pg.(k)
-            (total_load *. Q.to_float g.N.pmax /. cap_total))
-        grid.N.gens;
-    Flp.add_eq lp (Array.to_list (Array.map (fun v -> (v, 1.0)) pg)) total_load;
-    (* base flow of line i as (terms over pg, constant load part) *)
-    let flow_parts i =
-      let terms =
-        Array.to_list
-          (Array.mapi
-             (fun k (g : N.gen) ->
-               (pg.(k), Factors.ptdf factors ~line:i ~bus:g.N.gbus))
-             grid.N.gens)
+  Float_opf.solve_with ?loads topo ~extra:(fun factors limit ->
+      let contingencies =
+        match contingencies with
+        | Some cs -> cs
+        | None -> credible_outages topo factors
       in
-      let load_part = ref 0.0 in
-      for j = 0 to b - 1 do
-        if loads_f.(j) <> 0.0 then
-          load_part :=
-            !load_part +. (Factors.ptdf factors ~line:i ~bus:j *. loads_f.(j))
-      done;
-      (terms, !load_part)
-    in
-    let add_limited terms offset cap =
-      Flp.add_le lp terms (cap +. offset);
-      Flp.add_ge lp terms (-.cap +. offset)
-    in
-    (* base-case limits *)
-    let parts = Array.init (N.n_lines grid) (fun i -> flow_parts i) in
-    Array.iteri
-      (fun i (ln : N.line) ->
-        if topo.Grid.Topology.mapped.(i) then begin
-          let terms, load_part = parts.(i) in
-          add_limited terms load_part (Q.to_float ln.N.capacity)
-        end)
-      grid.N.lines;
-    (* post-contingency limits: flow_i + lodf(i,k) * flow_k <= emergency *)
-    List.iter
-      (fun k ->
-        let terms_k, load_k = parts.(k) in
-        Array.iteri
-          (fun i (ln : N.line) ->
-            if i <> k && topo.Grid.Topology.mapped.(i) then begin
-              let d = Factors.lodf factors ~outage:k i in
-              if Float.abs d > 1e-6 then begin
-                let terms_i, load_i = parts.(i) in
-                (* combine terms: flow_i + d*flow_k *)
-                let combined = Hashtbl.create 8 in
-                List.iter
-                  (fun (v, c) ->
-                    Hashtbl.replace combined v
-                      (c +. (try Hashtbl.find combined v with Not_found -> 0.0)))
-                  terms_i;
-                List.iter
-                  (fun (v, c) ->
-                    Hashtbl.replace combined v
-                      ((d *. c)
-                      +. (try Hashtbl.find combined v with Not_found -> 0.0)))
-                  terms_k;
-                let terms =
-                  Hashtbl.fold (fun v c acc -> (v, c) :: acc) combined []
-                in
-                let offset = load_i +. (d *. load_k) in
-                add_limited terms offset
-                  (emergency_factor *. Q.to_float ln.N.capacity)
-              end
-            end)
-          grid.N.lines)
-      contingencies;
-    let obj =
-      Array.to_list
-        (Array.mapi (fun k (g : N.gen) -> (pg.(k), Q.to_float g.N.beta))
-           grid.N.gens)
-    in
-    let constant =
-      Array.fold_left (fun acc (g : N.gen) -> acc +. Q.to_float g.N.alpha) 0.0
-        grid.N.gens
-    in
-    (match Flp.minimize lp obj ~constant with
-    | Flp.Infeasible -> Dc_opf.Infeasible
-    | Flp.Unbounded -> Dc_opf.Unbounded
-    (* A stalled float solve proves nothing; for an N-1 security screen the
-       conservative reading is "no secure dispatch demonstrated". *)
-    | Flp.Stall _ -> Dc_opf.Infeasible
-    | Flp.Optimal { objective; values } ->
-      let q4 f = Q.of_ints (int_of_float (Float.round (f *. 1e4))) 10_000 in
-      let pg_v = Array.map (fun v -> q4 values.(v)) pg in
-      let gen_bus = Array.make b 0.0 in
-      Array.iteri
-        (fun k (g : N.gen) -> gen_bus.(g.N.gbus) <- values.(pg.(k)))
-        grid.N.gens;
-      (match Grid.Powerflow.solve_float topo ~gen:gen_bus ~load:loads_f with
-      | Ok (theta_f, flows_f) ->
-        Dc_opf.Dispatch
-          {
-            cost = q4 objective;
-            pg = pg_v;
-            theta = Array.map q4 theta_f;
-            flows = Array.map q4 flows_f;
-          }
-      | Error _ ->
-        Dc_opf.Dispatch
-          {
-            cost = q4 objective;
-            pg = pg_v;
-            theta = Array.make b Q.zero;
-            flows = Array.make (N.n_lines grid) Q.zero;
-          }))
+      List.iter
+        (fun k ->
+          let row_k = Factors.ptdf_row factors ~line:k in
+          Array.iteri
+            (fun i cap ->
+              if i <> k && topo.Grid.Topology.mapped.(i) then begin
+                let d = Factors.lodf factors ~outage:k i in
+                if Float.abs d > 1e-6 then
+                  limit
+                    (Array.map2
+                       (fun a c -> a +. (d *. c))
+                       (Factors.ptdf_row factors ~line:i)
+                       row_k)
+                    ~cap
+              end)
+            rating)
+        contingencies)

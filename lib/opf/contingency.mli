@@ -43,4 +43,9 @@ val sc_opf :
 (** Security-constrained OPF: minimise cost subject to base-case limits
     and, for every contingency (default: all mapped non-radial lines),
     post-outage flows within emergency ratings, linearised with LODF.
-    Solved in floats (the production formulation). *)
+    Built by {!Float_opf.solve_with}: each post-contingency row is the
+    float row [ptdf_row i + d * ptdf_row k] ([d] the LODF of outage [k]
+    onto line [i]), rounded and screened like a base row, and the LP is
+    solved by {!Certify}.  The cost and dispatch are therefore the exact
+    optimum of that rounded LP; since it is {!Float_opf.solve}'s LP plus
+    the post-contingency rows, its cost is never below the plain OPF's. *)

@@ -8,7 +8,7 @@ module L = Smt.Linexp
 module F = Smt.Form
 module N = Grid.Network
 module D = Analysis.Diagnostic
-module P = Analysis.Presolve.Exact
+module P = Analysis.Presolve
 
 let test name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
@@ -722,11 +722,6 @@ let with_exact_presolve flag f =
   Lp.presolve_default := flag;
   Fun.protect ~finally:(fun () -> Lp.presolve_default := old) f
 
-let with_float_presolve flag f =
-  let old = !Flp.presolve_default in
-  Flp.presolve_default := flag;
-  Fun.protect ~finally:(fun () -> Flp.presolve_default := old) f
-
 let cost_of name = function
   | Opf.Dc_opf.Dispatch d -> d.Opf.Dc_opf.cost
   | Opf.Dc_opf.Infeasible -> Alcotest.fail (name ^ ": infeasible")
@@ -740,22 +735,6 @@ let opf_equivalence_exact solve name spec =
     (name ^ ": identical exact optimum")
     true (Q.equal a b)
 
-let opf_equivalence_float name spec =
-  let topo = Grid.Topology.make spec.Grid.Spec.grid in
-  let a =
-    with_float_presolve true (fun () ->
-        cost_of name (Opf.Float_opf.solve topo))
-  in
-  let b =
-    with_float_presolve false (fun () ->
-        cost_of name (Opf.Float_opf.solve topo))
-  in
-  let fa = Q.to_float a and fb = Q.to_float b in
-  Alcotest.(check bool)
-    (name ^ ": float optima agree")
-    true
-    (Float.abs (fa -. fb) <= 1e-4 *. (1.0 +. Float.abs fb))
-
 let opf_tests =
   [
     test "dc-opf 5-bus: presolve preserves the optimum" (fun () ->
@@ -763,16 +742,14 @@ let opf_tests =
     slow "dc-opf 14-bus: presolve preserves the optimum" (fun () ->
         opf_equivalence_exact Opf.Dc_opf.solve "dc14"
           (Grid.Test_systems.ieee14 ()));
+    (* the shift-factor LP on the exact simplex alone, which reads the
+       Lp presolve default *)
     test "fast-opf 30-bus: presolve preserves the optimum" (fun () ->
-        opf_equivalence_exact Opf.Fast_opf.solve "fast30"
+        opf_equivalence_exact Opf.Float_opf.solve_exact "fast30"
           (Grid.Test_systems.ieee 30));
     slow "fast-opf 57-bus: presolve preserves the optimum" (fun () ->
-        opf_equivalence_exact Opf.Fast_opf.solve "fast57"
+        opf_equivalence_exact Opf.Float_opf.solve_exact "fast57"
           (Grid.Test_systems.ieee 57));
-    test "float-opf 30/57/118-bus: presolve preserves the optimum" (fun () ->
-        opf_equivalence_float "float30" (Grid.Test_systems.ieee 30);
-        opf_equivalence_float "float57" (Grid.Test_systems.ieee 57);
-        opf_equivalence_float "float118" (Grid.Test_systems.ieee 118));
   ]
 
 (* ---- pivot savings, shown through the Obs counters ----
@@ -781,12 +758,10 @@ let opf_tests =
    exact angle-formulation OPF (Dc_opf) starts cold, so its slack-pinned
    angle triggers fixed-variable substitution and slack-adjacent capacity
    rows collapse to bounds: strictly fewer exact pivots (and a large
-   wall-clock win — 30-bus drops from ~18s to ~7s).  The float
-   angle-formulation below shows the same effect more dramatically.
-   Warm-started PTDF paths (Fast_opf/Float_opf) keep the same pivot
-   count — presolve only removes rows the warm start already satisfies —
-   which the 118-bus test pins down alongside the row-elimination
-   counter. *)
+   wall-clock win — 30-bus drops from ~18s to ~7s).  The warm-started
+   PTDF path (Float_opf) keeps the same pivot count — presolve only
+   removes rows the warm start already satisfies — and the 118-bus test
+   pins down the row-elimination counter on it. *)
 
 let c_exact_pivots = Obs.Counter.make "lp.exact.pivots"
 let c_float_pivots = Obs.Counter.make "lp.float.pivots"
@@ -820,102 +795,17 @@ let dc_opf_pivot_reduction name spec =
        piv_plain)
     true (piv_pre < piv_plain)
 
-(* float DC OPF over angles, cold-started: the nodal-balance rows are all
-   violated at the origin, so presolve's substitutions and row merges
-   change how much repair work phase I has to do *)
-let float_theta_opf ~presolve spec =
-  let g = spec.Grid.Spec.grid in
-  let topo = Grid.Topology.make g in
-  let slack = topo.Grid.Topology.slack in
-  let t = Flp.create ~presolve () in
-  let b = g.N.n_buses in
-  let theta =
-    Array.init b (fun j ->
-        if j = slack then Flp.add_var ~lo:0.0 ~hi:0.0 t else Flp.add_var t)
-  in
-  let pg =
-    Array.map
-      (fun (gn : N.gen) ->
-        Flp.add_var ~lo:(Q.to_float gn.N.pmin) ~hi:(Q.to_float gn.N.pmax) t)
-      g.N.gens
-  in
-  Array.iteri
-    (fun i (ln : N.line) ->
-      if topo.Grid.Topology.mapped.(i) then begin
-        let bi = Q.to_float ln.N.admittance in
-        let flow = [ (theta.(ln.N.from_bus), bi); (theta.(ln.N.to_bus), -.bi) ] in
-        let cap = Q.to_float ln.N.capacity in
-        Flp.add_le t flow cap;
-        Flp.add_ge t flow (-.cap)
-      end)
-    g.N.lines;
-  (* the slack bus's balance row is linearly dependent on the others; use
-     the total-balance row instead so the float equality system is not
-     redundant *)
-  let total_load = ref 0.0 in
-  for j = 0 to b - 1 do
-    let load =
-      match N.load_at g j with Some ld -> Q.to_float ld.N.existing | None -> 0.0
-    in
-    total_load := !total_load +. load;
-    if j <> slack then begin
-      let terms = ref [] in
-      Array.iteri
-        (fun i (ln : N.line) ->
-          if topo.Grid.Topology.mapped.(i) then begin
-            let bi = Q.to_float ln.N.admittance in
-            if ln.N.from_bus = j then
-              terms := (theta.(j), bi) :: (theta.(ln.N.to_bus), -.bi) :: !terms
-            else if ln.N.to_bus = j then
-              terms := (theta.(j), bi) :: (theta.(ln.N.from_bus), -.bi) :: !terms
-          end)
-        g.N.lines;
-      Array.iteri
-        (fun k (gn : N.gen) ->
-          if gn.N.gbus = j then terms := (pg.(k), -1.0) :: !terms)
-        g.N.gens;
-      Flp.add_eq t !terms (-.load)
-    end
-  done;
-  Flp.add_eq t (Array.to_list (Array.map (fun v -> (v, 1.0)) pg)) !total_load;
-  let obj =
-    Array.to_list (Array.mapi (fun k v -> (v, Q.to_float g.N.gens.(k).N.beta)) pg)
-  in
-  match Flp.minimize t obj ~constant:0.0 with
-  | Flp.Optimal { objective; _ } -> (objective, Flp.n_pivots t)
-  | Flp.Infeasible -> Alcotest.fail "theta opf infeasible"
-  | Flp.Unbounded -> Alcotest.fail "theta opf unbounded"
-  | Flp.Stall _ -> Alcotest.fail "theta opf stalled"
-
 let pivot_tests =
   [
     test "exact DC OPF 14-bus: presolve strictly reduces pivots" (fun () ->
         dc_opf_pivot_reduction "dc14" (Grid.Test_systems.ieee14 ()));
     slow "exact DC OPF 30-bus: presolve strictly reduces pivots" (fun () ->
         dc_opf_pivot_reduction "dc30" (Grid.Test_systems.ieee 30));
-    slow "57-bus theta OPF: presolve strictly reduces float pivots" (fun () ->
-        let spec = Grid.Test_systems.ieee 57 in
-        let (obj_plain, piv_plain), obs_plain =
-          counting c_float_pivots (fun () -> float_theta_opf ~presolve:false spec)
-        in
-        let (obj_pre, piv_pre), obs_pre =
-          counting c_float_pivots (fun () -> float_theta_opf ~presolve:true spec)
-        in
-        (* the Obs counter agrees with the per-instance count *)
-        Alcotest.(check int) "obs counts plain solve" piv_plain obs_plain;
-        Alcotest.(check int) "obs counts presolved solve" piv_pre obs_pre;
-        Alcotest.(check bool)
-          (Printf.sprintf "strictly fewer pivots (%d < %d)" piv_pre piv_plain)
-          true (piv_pre < piv_plain);
-        Alcotest.(check bool) "same optimum" true
-          (Float.abs (obj_pre -. obj_plain)
-          <= 1e-4 *. (1.0 +. Float.abs obj_plain)));
     test "118-bus certified float OPF: exact presolve eliminates rows"
       (fun () ->
-        (* Float_opf now routes through Certify, which always runs the
-           exact presolve before the float simplex — the Flp presolve
-           default no longer applies to it.  Pin down that the reduction
-           still happens, that the float solve still runs, and that the
+        (* Float_opf routes through Certify, which always runs the exact
+           presolve before the float simplex.  Pin down that the
+           reduction happens, that the float solve runs, and that the
            verdict is certificate-backed. *)
         let topo =
           Grid.Topology.make (Grid.Test_systems.ieee 118).Grid.Spec.grid

@@ -248,10 +248,10 @@ let fast_opf_tests =
   [
     Alcotest.test_case "agrees with the exact LP on the 5-bus system" `Quick
       (fun () ->
-        (* factor coefficients are rounded to 6 digits, so costs agree to
-           about a cent, not exactly *)
+        (* factor coefficients are rounded to 1e-6 steps, so costs agree
+           to about a cent, not exactly *)
         let d1 = dispatch_exn (Opf.Dc_opf.base_case five) in
-        let d2 = dispatch_exn (Opf.Fast_opf.solve (T.make five)) in
+        let d2 = dispatch_exn (Opf.Float_opf.solve (T.make five)) in
         Alcotest.(check bool) "cost within a cent" true
           (close ~eps:1e-2
              (Q.to_float d1.Opf.Dc_opf.cost)
@@ -259,7 +259,7 @@ let fast_opf_tests =
     Alcotest.test_case "agrees with the exact LP on IEEE-14" `Quick (fun () ->
         let grid = (TS.ieee 14).Grid.Spec.grid in
         let d1 = dispatch_exn (Opf.Dc_opf.base_case grid) in
-        let d2 = dispatch_exn (Opf.Fast_opf.solve (T.make grid)) in
+        let d2 = dispatch_exn (Opf.Float_opf.solve (T.make grid)) in
         Alcotest.(check bool) "cost within a cent" true
           (close ~eps:1e-2
              (Q.to_float d1.Opf.Dc_opf.cost)
@@ -272,7 +272,7 @@ let fast_opf_tests =
              Q.of_ints 20 100 |]
         in
         let topo = T.make ~mapped five in
-        match (Opf.Dc_opf.solve ~loads topo, Opf.Fast_opf.solve ~loads topo) with
+        match (Opf.Dc_opf.solve ~loads topo, Opf.Float_opf.solve ~loads topo) with
         | Opf.Dc_opf.Dispatch a, Opf.Dc_opf.Dispatch b ->
           (* factor rounding: equal to ~1e-4 *)
           Alcotest.(check bool) "costs close" true

@@ -1,5 +1,5 @@
 (* Cross-component property tests: random-grid spec roundtrips, exact vs
-   float LP agreement, factor properties on IEEE-14, blocking-clause
+   certified float LP equality, factor properties on IEEE-14, blocking-clause
    soundness of the enumeration loop. *)
 
 module Q = Numeric.Rat
@@ -107,7 +107,7 @@ let spec_roundtrip_tests =
             && parsed.Grid.Spec.max_buses = 3));
   ]
 
-(* ---- exact LP vs float LP ---- *)
+(* ---- exact LP vs certified float LP ---- *)
 
 let gen_transport =
   QCheck2.Gen.(
@@ -132,24 +132,26 @@ let lp_agreement_tests =
             L.sum (List.map2 (fun c v -> L.monomial (Q.of_int c) v) costs vars)
           in
           match Lp.minimize t obj with
-          | Lp.Optimal { objective; _ } -> Some (Q.to_float objective)
+          | Lp.Optimal { objective; _ } -> Some objective
           | _ -> None
         in
-        let approx =
-          let t = Flp.create () in
+        let certified =
+          let t = Certify.create () in
           let vars =
             List.map
-              (fun c -> Flp.add_var ~lo:0.0 ~hi:(float_of_int c) t)
+              (fun c -> Certify.add_var ~lo:Q.zero ~hi:(Q.of_int c) t)
               caps
           in
-          Flp.add_eq t (List.map (fun v -> (v, 1.0)) vars) (float_of_int demand);
-          let obj = List.map2 (fun c v -> (v, float_of_int c)) costs vars in
-          match Flp.minimize t obj ~constant:0.0 with
-          | Flp.Optimal { objective; _ } -> Some objective
+          Certify.add_eq t
+            (List.map (fun v -> (v, Q.one)) vars)
+            (Q.of_int demand);
+          let obj = List.map2 (fun c v -> (v, Q.of_int c)) costs vars in
+          match Certify.minimize t obj ~constant:Q.zero with
+          | Certify.Optimal { objective; _ } -> Some objective
           | _ -> None
         in
-        match (exact, approx) with
-        | Some a, Some b -> Float.abs (a -. b) < 1e-6
+        match (exact, certified) with
+        | Some a, Some b -> Q.equal a b
         | None, None -> true
         | _ -> false);
   ]
