@@ -2,10 +2,11 @@
    the observability counters under it.
 
    Runs the 5-bus closed-form impact sweep (targets 1%..6%) with
-   --jobs 2, cross-checks every parallel outcome (and poisoned cost)
-   against the sequential run, hammers one Obs counter from 4 domains to
-   prove totals are exact rather than approximately merged, then writes
-   the stats snapshot as JSON and validates that it parses and that
+   --jobs 2, cross-checks every parallel outcome (poisoned cost and
+   examined-candidate count included) against the sequential run,
+   hammers one Obs counter from 4 domains to prove totals are exact
+   rather than approximately merged, then writes the stats snapshot as
+   JSON and validates that it parses and that
    attack.loop.candidates equals the independently accumulated
    per-outcome examined counts.
 
@@ -120,8 +121,14 @@ let () =
           <> b.I.vector.Attack.Vector.excluded
           || a.I.vector.Attack.Vector.included
              <> b.I.vector.Attack.Vector.included
-        then fail "target %d%%: parallel vector differs from sequential" target
-      | I.No_attack _, I.No_attack _ -> ()
+        then fail "target %d%%: parallel vector differs from sequential" target;
+        if a.I.candidates <> b.I.candidates then
+          fail "target %d%%: parallel examined %d candidates, sequential %d"
+            target b.I.candidates a.I.candidates
+      | I.No_attack a, I.No_attack b ->
+        if a.candidates <> b.candidates then
+          fail "target %d%%: parallel examined %d candidates, sequential %d"
+            target b.candidates a.candidates
       | _ ->
         fail "target %d%%: parallel outcome differs from sequential" target)
     [ 1; 2; 3; 4; 5; 6 ];

@@ -93,15 +93,15 @@ let () =
   (match counter json "lp.certify.fail" with
   | 0 -> ()
   | n -> fail "lp.certify.fail is %d, expected 0" n);
-  (match Obs.Json.member "timers" json with
-  | Some timers -> (
-    match Obs.Json.member "attack.loop.analyze" timers with
+  (match Obs.Json.member "histograms" json with
+  | Some histograms -> (
+    match Obs.Json.member "attack.analyze.seconds" histograms with
     | Some entry -> (
-      match Obs.Json.member "calls" entry with
-      | Some (Obs.Json.Int calls) when calls >= 1 -> ()
-      | _ -> fail "attack.loop.analyze timer has no calls")
-    | None -> fail "attack.loop.analyze timer missing")
-  | None -> fail "no \"timers\" object in the JSON snapshot");
+      match Obs.Json.member "count" entry with
+      | Some (Obs.Json.Int n) when n >= 1 -> ()
+      | _ -> fail "attack.analyze.seconds histogram has no observations")
+    | None -> fail "attack.analyze.seconds histogram missing")
+  | None -> fail "no \"histograms\" object in the JSON snapshot");
   (* the instrumented solves must have filled at least one histogram
      (pivots per solve, decisions per check, verification latency) *)
   (match Obs.Json.member "histograms" json with

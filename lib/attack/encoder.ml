@@ -23,7 +23,7 @@ type vars = {
 let encode_cardinality_with_indicators = ref false
 
 let obs_encodings = Obs.Counter.make "attack.encoder.encodings"
-let obs_encode_timer = Obs.Timer.make "attack.encoder.encode"
+let obs_encode_seconds = Obs.Histogram.make "attack.encoder.encode.seconds"
 
 let encode_inner ?max_topology_changes ?on_assert solver ~mode
     ~(scenario : Grid.Spec.t) ~(base : Base_state.t) =
@@ -257,6 +257,6 @@ let encode ?max_topology_changes ?on_assert solver ~mode ~scenario ~base =
   in
   Obs.Trace.with_span "attack.encode" ~args:[ ("mode", mode_str) ]
   @@ fun () ->
-  Obs.Timer.with_ obs_encode_timer (fun () ->
+  Obs.Histogram.time obs_encode_seconds (fun () ->
       encode_inner ?max_topology_changes ?on_assert solver ~mode ~scenario
         ~base)

@@ -1,6 +1,4 @@
 module Q = Numeric.Rat
-module L = Smt.Linexp
-module F = Smt.Form
 module Solver = Smt.Solver
 module N = Grid.Network
 
@@ -11,8 +9,7 @@ exception Interrupted
 let obs_iterations = Obs.Counter.make "attack.loop.iterations"
 let obs_candidates = Obs.Counter.make "attack.loop.candidates"
 let obs_blocked = Obs.Counter.make "attack.loop.blocked"
-let obs_loop_timer = Obs.Timer.make "attack.loop.analyze"
-let obs_verify_timer = Obs.Timer.make "attack.loop.verify_impact"
+let obs_analyze_hist = Obs.Histogram.make "attack.analyze.seconds"
 let obs_verify_hist = Obs.Histogram.make "attack.verify.seconds"
 let obs_sweep_reused = Obs.Counter.make "attack.sweep.reused_verifications"
 let obs_sweep_targets = Obs.Counter.make "attack.sweep.targets"
@@ -278,42 +275,47 @@ let base_state ?store kind grid =
       ~gen:(Grid.Test_systems.case_study_base_dispatch ())
   | `Case_study -> of_opf ()
 
-(* the operator runs OPF on the poisoned topology and the shifted loads;
-   the attack achieves the impact iff no dispatch beats the threshold
+(* ---- verification ----
+
+   A verdict on a candidate's poisoned OPF: with an exact backend its
+   optimum or no convergence, neither depending on the threshold; with
+   [Smt_bounded] whether Eqs. 37/38 hold at the threshold asked. *)
+type verdict = [ `Cost of Q.t | `NoConv | `Bounded of bool ]
+
+(* the attack achieves the impact iff no dispatch beats the threshold
    (Eq. 37) while the OPF still converges (Eq. 38) *)
-let verify_impact config grid (vec : Attack.Vector.t) ~threshold =
+let succeeds threshold : verdict -> bool = function
+  | `Cost c -> Q.( >= ) c threshold
+  | `Bounded b -> b
+  | `NoConv -> false
+
+(* the operator runs OPF on the poisoned topology and the shifted loads *)
+let verify config grid (vec : Attack.Vector.t) ~threshold : verdict =
   Obs.Trace.with_span "impact.verify"
     ~args:[ ("threshold", Q.to_string threshold) ]
   @@ fun () ->
-  Obs.Timer.with_ obs_verify_timer @@ fun () ->
   Obs.Histogram.time obs_verify_hist @@ fun () ->
   match config.backend with
-  | Lp_exact | Fast_factors -> (
-    match exact_verdict_cached config grid vec with
-    | `Cost c ->
-      if Q.( >= ) c threshold then `Success (Some c)
-      else `Cheaper_dispatch_exists
-    | `NoConv -> `No_convergence)
+  | Lp_exact | Fast_factors -> (exact_verdict_cached config grid vec :> verdict)
   | Smt_bounded -> (
     (* Eq. 37: unsat below the threshold; Eq. 38: sat with a loose budget *)
     let topo = Grid.Topology.make ~mapped:vec.Attack.Vector.mapped grid in
     let loads = vec.Attack.Vector.est_loads in
     match Opf.Smt_opf.feasible ~loads topo ~budget:threshold with
-    | `Sat -> `Cheaper_dispatch_exists
+    | `Sat -> `Bounded false
     | `Unsat -> (
       let loose = Q.mul threshold (Q.of_int 1000) in
       match Opf.Smt_opf.feasible ~loads topo ~budget:loose with
-      | `Sat -> `Success None
-      | `Unsat -> `No_convergence))
+      | `Sat -> `Bounded true
+      | `Unsat -> `NoConv))
 
-(* closed-form enumeration of single-line attacks (the paper's LODF-era
-   fast path): no SMT involved.  The candidate verifications are
-   independent OPF solves, so with config.jobs >= 2 they are fanned out
-   over a domain pool; Pool.find_mapi_first keeps the sequential
-   semantics (the success with the lowest candidate index wins, workers
-   past a success are cancelled through the pool's shared best-index
-   flag).  With jobs <= 1 the pool degrades to the plain sequential loop,
-   early exit included. *)
+let attack_found ~base_cost ~threshold vector (verdict : verdict) candidates =
+  let poisoned_cost = match verdict with `Cost c -> Some c | _ -> None in
+  Attack_found { vector; base_cost; threshold; poisoned_cost; candidates }
+
+(* the enumeration budget applies on both paths: the SMT enumeration
+   stops after [max_candidates] queries, and the closed-form scan is cut
+   to the same prefix of the ranked candidate list *)
 let truncate_candidates config candidates =
   let rec take n = function
     | [] -> []
@@ -344,39 +346,6 @@ let truncate_candidates config candidates =
 
 type static_verdict = [ `Islanding | `Interval | `Ceiling ]
 
-let audit_verdicts config ~grid ~base_pg ~threshold ~base_cost
-    candidates : static_verdict option array =
-  let n = List.length candidates in
-  if not (config.audit && n > 0) then Array.make n None
-  else begin
-    let above_ceiling =
-      match Audit.cost_ceiling grid with
-      | Some u -> Q.( > ) threshold u
-      | None -> false
-    in
-    if above_ceiling then begin
-      Obs.Counter.add obs_audit_pruned n;
-      Obs.Counter.add obs_audit_pruned_ceiling n;
-      Array.make n (Some `Ceiling)
-    end
-    else
-      Audit.classify ~grid ~base_dispatch:base_pg
-        ~islanding_sound:(config.backend = Fast_factors)
-        ~interval_active:(Q.( > ) threshold base_cost)
-        ~candidates
-      |> List.map (function
-           | Audit.Solve -> None
-           | Audit.Prune_islanding ->
-             Obs.Counter.incr obs_audit_pruned;
-             Obs.Counter.incr obs_audit_pruned_islanding;
-             Some `Islanding
-           | Audit.Prune_interval ->
-             Obs.Counter.incr obs_audit_pruned;
-             Obs.Counter.incr obs_audit_pruned_interval;
-             Some `Interval)
-      |> Array.of_list
-  end
-
 (* cross-check mode: solve a pruned candidate after all and verify the
    static claim.  Only meaningful for the exact backends (the SMT
    verdict is threshold-bound); a disagreement — the solver finding a
@@ -394,312 +363,184 @@ let audit_cross_check config ~grid ~threshold vec (claim : static_verdict) =
     if not agree then Obs.Counter.incr obs_audit_unsound
   end
 
-let analyze_closed_form config ~grid ~base_pg ~candidates ~base_cost
-    ~threshold =
-  (* the enumeration budget applies on this path too: the SMT loop stops
-     after [max_candidates] queries, so the closed-form enumeration is
-     cut to the same prefix of the ranked candidate list *)
-  let candidates = truncate_candidates config candidates in
+(* ---- the closed-form scan ----
+
+   Single-line attacks enumerated in closed form (the paper's LODF-era
+   fast path), no SMT involved, scanned once per distinct threshold:
+
+   - the candidate list is cut and classified by the audit once, for
+     every threshold;
+   - each threshold's scan is one [Pool.find_mapi_first] over the
+     unpruned positions, on one pool of [config.jobs] domains: the
+     lowest-position success wins, exactly as in the sequential loop;
+   - with an exact backend each candidate's verdict is memoised, so a
+     candidate is verified at most once across thresholds;
+   - the outcome and the loop and audit counters are taken by position,
+     up to where the scan stopped, so they do not depend on how many
+     verifications pool workers past the winner had already started. *)
+let closed_form_scan config ~scenario ~base ~base_pg ~base_cost thresholds =
+  let grid = scenario.Grid.Spec.grid in
+  let candidates =
+    truncate_candidates config (Attack.Single_line.all_feasible ~scenario ~base)
+  in
+  let vectors = Array.of_list (List.map (fun (_, _, vec) -> vec) candidates) in
+  let n = Array.length vectors in
+  let ceiling = if config.audit && n > 0 then Audit.cost_ceiling grid else None in
+  let above_ceiling t =
+    match ceiling with Some u -> Q.( > ) t u | None -> false
+  in
   let statics =
-    audit_verdicts config ~grid ~base_pg ~threshold ~base_cost candidates
+    if not config.audit || n = 0 || List.for_all above_ceiling thresholds then
+      Array.make n None
+    else
+      Audit.classify ~grid ~base_dispatch:base_pg
+        ~islanding_sound:(config.backend = Fast_factors)
+        ~interval_active:(List.exists (fun t -> Q.( > ) t base_cost) thresholds)
+        ~candidates
+      |> List.map (function
+           | Audit.Solve -> None
+           | Audit.Prune_islanding -> Some `Islanding
+           | Audit.Prune_interval -> Some `Interval)
+      |> Array.of_list
   in
-  let examined = Atomic.make 0 in
-  let survivors =
-    List.filteri
-      (fun i c ->
-        match statics.(i) with
-        | None -> true
-        | Some claim ->
-          (* a statically pruned candidate still counts as examined, so
-             the reported outcome is identical with the audit on or off *)
-          Atomic.incr examined;
-          let _, _, vec = c in
-          audit_cross_check config ~grid ~threshold vec claim;
-          false)
-      candidates
+  (* the interval claim (poisoned optimum <= base cost) prunes only at
+     thresholds strictly above the base cost *)
+  let claim threshold i : static_verdict option =
+    match statics.(i) with
+    | Some `Interval when Q.( > ) threshold base_cost -> Some `Interval
+    | Some `Islanding -> Some `Islanding
+    | _ -> if above_ceiling threshold then Some `Ceiling else None
   in
-  let verify i (_, _, vec) =
-    check_interrupt config;
-    Obs.Counter.incr obs_iterations;
-    Obs.Counter.incr obs_candidates;
-    Atomic.incr examined;
-    Obs.Trace.with_span "impact.candidate"
-      ~args:[ ("index", string_of_int i) ]
-    @@ fun () ->
-    match verify_impact config grid vec ~threshold with
-    | `Success poisoned_cost -> Some (vec, poisoned_cost)
-    | `Cheaper_dispatch_exists | `No_convergence ->
-      Obs.Counter.incr obs_blocked;
-      None
+  let memoise = config.backend <> Smt_bounded in
+  let memo = Array.make n None in
+  let passed = Array.make n false in
+  let pruned = Array.make n false in
+  Pool.with_pool ~jobs:config.jobs @@ fun pool ->
+  let scan threshold =
+    let claims = Array.init n (claim threshold) in
+    let unpruned = List.filter (fun i -> Option.is_none claims.(i)) (List.init n Fun.id) in
+    let check _ i =
+      let verdict =
+        match memo.(i) with
+        | Some v -> v
+        | None ->
+          check_interrupt config;
+          let v =
+            Obs.Trace.with_span "impact.candidate"
+              ~args:[ ("index", string_of_int i) ]
+              (fun () -> verify config grid vectors.(i) ~threshold)
+          in
+          if memoise then memo.(i) <- Some v;
+          v
+      in
+      if succeeds threshold verdict then Some (i, verdict) else None
+    in
+    let winner = Pool.find_mapi_first pool ~f:check unpruned in
+    let stop = match winner with Some (w, _) -> w + 1 | None -> n in
+    for i = 0 to stop - 1 do
+      match claims.(i) with
+      | Some claim ->
+        (* a pruned candidate counts as examined, so the outcome is
+           identical with the audit on or off *)
+        if not pruned.(i) then begin
+          pruned.(i) <- true;
+          Obs.Counter.incr obs_audit_pruned;
+          Obs.Counter.incr
+            (match claim with
+            | `Islanding -> obs_audit_pruned_islanding
+            | `Interval -> obs_audit_pruned_interval
+            | `Ceiling -> obs_audit_pruned_ceiling);
+          audit_cross_check config ~grid ~threshold vectors.(i) claim
+        end
+      | None when passed.(i) && memoise -> Obs.Counter.incr obs_sweep_reused
+      | None ->
+        passed.(i) <- true;
+        Obs.Counter.incr obs_iterations;
+        Obs.Counter.incr obs_candidates;
+        if i + 1 < stop || Option.is_none winner then Obs.Counter.incr obs_blocked
+    done;
+    match winner with
+    | Some (w, verdict) ->
+      attack_found ~base_cost ~threshold vectors.(w) verdict (w + 1)
+    | None -> No_attack { candidates = n }
   in
-  let found =
-    Pool.with_pool ~jobs:config.jobs (fun pool ->
-        Pool.find_mapi_first pool ~f:verify survivors)
-  in
-  match found with
-  | Some (vec, poisoned_cost) ->
-    Attack_found
-      {
-        vector = vec;
-        base_cost;
-        threshold;
-        poisoned_cost;
-        candidates = Atomic.get examined;
-      }
-  | None -> No_attack { candidates = Atomic.get examined }
+  List.map (fun t -> (t, scan t)) thresholds
 
 let closed_form_applies config =
   config.use_closed_form
   && config.mode = Attack.Encoder.Topology_only
   && config.max_topology_changes = Some 1
 
-(* the SMT candidate-enumeration loop against one threshold.  The solver
-   may carry blocking clauses from lower thresholds: a blocked candidate
-   has a poisoned optimum strictly below that lower threshold, hence below
-   this one too, so the clauses stay valid for ascending sweeps. *)
-let smt_loop config ~scenario ~grid ~solver ~vars ~base_cost ~threshold =
-  let rec loop candidates =
-    if candidates >= config.max_candidates then No_attack { candidates }
+(* ---- the SMT enumeration ----
+
+   Ask the attack model for a stealthy candidate, hand it to [visit], and
+   block it (at [config.precision] digits) unless [visit] accepts it.
+   Returns why the enumeration ended — [`Accepted], [`Exhausted] (unsat:
+   no stealthy candidate is left) or [`Budget] ([max_candidates] queries
+   ran out) — with the number of candidates examined. *)
+let enumerate config ~scenario ~solver ~vars visit =
+  let rec go n =
+    if n >= config.max_candidates then (`Budget, n)
     else begin
       check_interrupt config;
       Obs.Counter.incr obs_iterations;
       match Solver.check solver with
-      | `Unsat -> No_attack { candidates }
+      | `Unsat -> (`Exhausted, n)
       | `Sat -> (
         Obs.Counter.incr obs_candidates;
         let vec = Attack.Vector.of_model solver vars scenario in
-        let verdict =
+        match
           Obs.Trace.with_span "impact.candidate"
-            ~args:[ ("index", string_of_int candidates) ]
-            (fun () -> verify_impact config grid vec ~threshold)
-        in
-        match verdict with
-        | `Success poisoned_cost ->
-          Attack_found
-            {
-              vector = vec;
-              base_cost;
-              threshold;
-              poisoned_cost;
-              candidates = candidates + 1;
-            }
-        | `Cheaper_dispatch_exists | `No_convergence ->
+            ~args:[ ("index", string_of_int n) ]
+            (fun () -> visit vec)
+        with
+        | Some accepted -> (`Accepted accepted, n + 1)
+        | None ->
           Obs.Counter.incr obs_blocked;
           Solver.assert_form solver
             (Attack.Vector.blocking_clause ~precision:config.precision vars vec);
-          loop (candidates + 1))
+          go (n + 1))
     end
   in
-  loop 0
+  go 0
 
-let analyze_inner ~config ~(scenario : Grid.Spec.t)
-    ~(base : Attack.Base_state.t) =
-  check_interrupt config;
-  let grid = scenario.Grid.Spec.grid in
-  match base_opf ?store:config.store (formulation config.backend) grid with
-  | `Infeasible -> Base_infeasible "attack-free OPF infeasible"
-  | `Unbounded -> Base_infeasible "attack-free OPF unbounded"
-  | `Optimal (base_cost, base_pg) ->
-    let threshold =
-      threshold_of ~base_cost scenario.Grid.Spec.min_increase_pct
-    in
-    if closed_form_applies config then
-      let candidates = Attack.Single_line.all_feasible ~scenario ~base in
-      analyze_closed_form config ~grid ~base_pg ~candidates ~base_cost
-        ~threshold
-    else begin
-      let solver = Solver.create () in
-      let vars =
-        Attack.Encoder.encode ?max_topology_changes:config.max_topology_changes
-          solver ~mode:config.mode ~scenario ~base
-      in
-      smt_loop config ~scenario ~grid ~solver ~vars ~base_cost ~threshold
-    end
-
-let analyze ?(config = default_config) ~(scenario : Grid.Spec.t)
-    ~(base : Attack.Base_state.t) () =
-  Obs.Trace.with_span "impact.analyze" @@ fun () ->
-  Obs.Timer.with_ obs_loop_timer @@ fun () ->
-  with_interrupt_probe config (fun () -> analyze_inner ~config ~scenario ~base)
-
-(* ---- threshold sweeps (satellite of the serving PR) ----
-
-   A sweep over the impact target I re-solves nothing that is
-   threshold-independent:
-
-   - the attack-free OPF and (closed form) the candidate enumeration run
-     once;
-   - with an exact backend, each candidate's poisoned optimum is computed
-     at most once and compared against every threshold (memoised below,
-     and shared further through config.store when present);
-   - on the SMT path one solver and one encoding serve all targets,
-     processed in ascending threshold order so accumulated blocking
-     clauses remain valid (blocked at T means the poisoned optimum is
-     below T, hence below any larger T'). *)
-
-let sweep_closed_form config ~scenario ~base ~base_pg ~base_cost
-    ~increases =
-  let grid = scenario.Grid.Spec.grid in
-  let candidate_list =
-    truncate_candidates config (Attack.Single_line.all_feasible ~scenario ~base)
-  in
-  let candidates = Array.of_list candidate_list in
-  match config.backend with
-  | Smt_bounded ->
-    (* the bounded-feasibility verdict depends on the threshold: only the
-       enumeration and the base OPF are shared *)
-    List.map
-      (fun pct ->
-        let threshold = threshold_of ~base_cost pct in
-        ( pct,
-          analyze_closed_form config ~grid ~base_pg
-            ~candidates:candidate_list ~base_cost ~threshold ))
-      increases
-  | Lp_exact | Fast_factors ->
-    (* audit pre-pass, threshold-independent pieces computed once: the
-       islanding/interval verdicts hold for every target (the interval
-       claim — poisoned optimum <= base_cost — is applied only at
-       thresholds strictly above the base cost, i.e. every positive
-       impact target), the cost ceiling is compared per threshold.
-       Counters are bumped lazily, on the first target that actually
-       skips a candidate, so [audit.pruned] counts solves avoided — not
-       classifications that no target ever used. *)
-    let statics =
-      if not (config.audit && Array.length candidates > 0) then
-        Array.make (Array.length candidates) None
-      else
-        Audit.classify ~grid ~base_dispatch:base_pg
-          ~islanding_sound:(config.backend = Fast_factors)
-          ~interval_active:true ~candidates:candidate_list
-        |> List.map (function
-             | Audit.Solve -> None
-             | Audit.Prune_islanding -> Some `Islanding
-             | Audit.Prune_interval -> Some `Interval)
-        |> Array.of_list
-    in
-    let ceiling =
-      if config.audit then Audit.cost_ceiling grid else None
-    in
-    let prune_counted = Array.make (Array.length candidates) false in
-    let count_prune i (claim : static_verdict) =
-      if not prune_counted.(i) then begin
-        prune_counted.(i) <- true;
-        Obs.Counter.incr obs_audit_pruned;
-        Obs.Counter.incr
-          (match claim with
-          | `Islanding -> obs_audit_pruned_islanding
-          | `Interval -> obs_audit_pruned_interval
-          | `Ceiling -> obs_audit_pruned_ceiling)
-      end
-    in
-    let cross_checked = Array.make (Array.length candidates) false in
-    let memo = Array.make (Array.length candidates) None in
-    (* verdict plus whether this call actually solved (fresh) or reused *)
-    let verdict i =
-      match memo.(i) with
-      | Some v ->
-        Obs.Counter.incr obs_sweep_reused;
-        (v, false)
-      | None ->
-        check_interrupt config;
-        Obs.Counter.incr obs_iterations;
-        Obs.Counter.incr obs_candidates;
-        let _, _, vec = candidates.(i) in
-        let v =
-          Obs.Trace.with_span "impact.candidate"
-            ~args:[ ("index", string_of_int i) ]
-          @@ fun () ->
-          Obs.Timer.with_ obs_verify_timer @@ fun () ->
-          Obs.Histogram.time obs_verify_hist @@ fun () ->
-          exact_verdict_cached config grid vec
-        in
-        memo.(i) <- Some v;
-        (v, true)
-    in
-    List.map
-      (fun pct ->
-        let threshold = threshold_of ~base_cost pct in
-        let interval_applies = Q.( > ) threshold base_cost in
-        let above_ceiling =
-          match ceiling with Some u -> Q.( > ) threshold u | None -> false
-        in
-        let pruned i =
-          match statics.(i) with
-          | Some `Islanding -> true
-          | Some `Interval -> interval_applies
-          | None -> above_ceiling
-        in
-        let rec scan i =
-          if i >= Array.length candidates then
-            No_attack { candidates = Array.length candidates }
-          else if pruned i then begin
-            let claim =
-              match statics.(i) with
-              | Some `Islanding -> `Islanding
-              | Some `Interval -> `Interval
-              | None -> `Ceiling
-            in
-            count_prune i claim;
-            (if not cross_checked.(i) then begin
-               cross_checked.(i) <- true;
-               let _, _, vec = candidates.(i) in
-               audit_cross_check config ~grid ~threshold vec claim
-             end);
-            scan (i + 1)
-          end
-          else
-            match verdict i with
-            | `Cost c, _ when Q.( >= ) c threshold ->
-              let _, _, vec = candidates.(i) in
-              Attack_found
-                {
-                  vector = vec;
-                  base_cost;
-                  threshold;
-                  poisoned_cost = Some c;
-                  candidates = i + 1;
-                }
-            | (`Cost _ | `NoConv), fresh ->
-              if fresh then Obs.Counter.incr obs_blocked;
-              scan (i + 1)
-        in
-        (pct, scan 0))
-      increases
-
-let sweep_smt config ~scenario ~base ~base_cost ~increases =
-  let grid = scenario.Grid.Spec.grid in
+let encode config ~scenario ~base =
   let solver = Solver.create () in
   let vars =
     Attack.Encoder.encode ?max_topology_changes:config.max_topology_changes
       solver ~mode:config.mode ~scenario ~base
   in
-  (* ascending thresholds keep the accumulated blocking clauses sound *)
-  let indexed = List.mapi (fun i pct -> (i, pct)) increases in
-  let by_threshold =
-    List.sort (fun (_, a) (_, b) -> Q.compare a b) indexed
-  in
-  let results = Array.make (List.length increases) None in
-  List.iter
-    (fun (i, pct) ->
-      let threshold = threshold_of ~base_cost pct in
-      let outcome =
-        smt_loop config ~scenario ~grid ~solver ~vars ~base_cost ~threshold
-      in
-      results.(i) <- Some (pct, outcome))
-    by_threshold;
-  List.map
-    (fun (i, pct) ->
-      match results.(i) with
-      | Some r -> r
-      | None -> (pct, No_attack { candidates = 0 }) (* unreachable *))
-    indexed
+  (solver, vars)
 
-let analyze_sweep ?(config = default_config) ~(scenario : Grid.Spec.t)
-    ~(base : Attack.Base_state.t) ~increases () =
-  Obs.Trace.with_span "impact.sweep" @@ fun () ->
-  Obs.Timer.with_ obs_loop_timer @@ fun () ->
+(* One solver and one encoding serve every threshold, in ascending
+   order: a candidate blocked at threshold T has a poisoned optimum
+   below T, hence below any larger threshold, so the accumulated
+   blocking clauses stay valid. *)
+let smt_scan config ~scenario ~base ~base_cost thresholds =
+  let grid = scenario.Grid.Spec.grid in
+  let solver, vars = encode config ~scenario ~base in
+  List.map
+    (fun threshold ->
+      let accept vec =
+        let verdict = verify config grid vec ~threshold in
+        if succeeds threshold verdict then Some (vec, verdict) else None
+      in
+      match enumerate config ~scenario ~solver ~vars accept with
+      | `Accepted (vec, verdict), n ->
+        (threshold, attack_found ~base_cost ~threshold vec verdict n)
+      | (`Exhausted | `Budget), n -> (threshold, No_attack { candidates = n }))
+    (List.sort Q.compare thresholds)
+
+(* ---- analyses ----
+
+   Everything threshold-independent is computed once per call: the
+   attack-free OPF, the candidate enumeration (closed form) or the
+   encoding (SMT), and with an exact backend each candidate's poisoned
+   optimum.  Each distinct threshold is answered once; a repeated target
+   shares its outcome. *)
+let outcomes config ~(scenario : Grid.Spec.t) ~base increases =
+  Obs.Histogram.time obs_analyze_hist @@ fun () ->
   with_interrupt_probe config @@ fun () ->
-  Obs.Counter.add obs_sweep_targets (List.length increases);
   check_interrupt config;
   let grid = scenario.Grid.Spec.grid in
   match base_opf ?store:config.store (formulation config.backend) grid with
@@ -708,10 +549,32 @@ let analyze_sweep ?(config = default_config) ~(scenario : Grid.Spec.t)
   | `Unbounded ->
     List.map (fun pct -> (pct, Base_infeasible "attack-free OPF unbounded")) increases
   | `Optimal (base_cost, base_pg) ->
-    if closed_form_applies config then
-      sweep_closed_form config ~scenario ~base ~base_pg ~base_cost
-        ~increases
-    else sweep_smt config ~scenario ~base ~base_cost ~increases
+    let thresholds = List.map (threshold_of ~base_cost) increases in
+    let distinct =
+      List.fold_left
+        (fun acc t -> if List.exists (Q.equal t) acc then acc else t :: acc)
+        [] thresholds
+      |> List.rev
+    in
+    let answered =
+      if closed_form_applies config then
+        closed_form_scan config ~scenario ~base ~base_pg ~base_cost distinct
+      else smt_scan config ~scenario ~base ~base_cost distinct
+    in
+    List.map2
+      (fun pct t -> (pct, snd (List.find (fun (t', _) -> Q.equal t t') answered)))
+      increases thresholds
+
+let analyze ?(config = default_config) ~(scenario : Grid.Spec.t)
+    ~(base : Attack.Base_state.t) () =
+  Obs.Trace.with_span "impact.analyze" @@ fun () ->
+  snd (List.hd (outcomes config ~scenario ~base [ scenario.Grid.Spec.min_increase_pct ]))
+
+let analyze_sweep ?(config = default_config) ~(scenario : Grid.Spec.t)
+    ~(base : Attack.Base_state.t) ~increases () =
+  Obs.Trace.with_span "impact.sweep" @@ fun () ->
+  Obs.Counter.add obs_sweep_targets (List.length increases);
+  outcomes config ~scenario ~base increases
 
 let max_achievable_increase ?(config = default_config)
     ~(scenario : Grid.Spec.t) ~(base : Attack.Base_state.t) () =
@@ -720,32 +583,16 @@ let max_achievable_increase ?(config = default_config)
   match base_opf ?store:config.store (formulation config.backend) grid with
   | `Infeasible | `Unbounded -> None
   | `Optimal (base_cost, _) ->
-    let solver = Solver.create () in
-    let vars =
-      Attack.Encoder.encode ?max_topology_changes:config.max_topology_changes
-        solver ~mode:config.mode ~scenario ~base
-    in
+    let solver, vars = encode config ~scenario ~base in
+    (* every candidate is blocked: the search is exhaustive *)
     let best = ref None in
-    let continue = ref true in
-    let candidates = ref 0 in
-    while !continue && !candidates < config.max_candidates do
-      incr candidates;
-      check_interrupt config;
-      Obs.Counter.incr obs_iterations;
-      match Solver.check solver with
-      | `Unsat -> continue := false
-      | `Sat ->
-        Obs.Counter.incr obs_candidates;
-        let vec = Attack.Vector.of_model solver vars scenario in
-        (match (exact_verdict_cached config grid vec, !best) with
-        | `Cost c, Some b when Q.( >= ) b c -> ()
-        | `Cost c, _ -> best := Some c
-        | `NoConv, _ -> ());
-        (* every candidate is blocked here — the search is exhaustive *)
-        Obs.Counter.incr obs_blocked;
-        Solver.assert_form solver
-          (Attack.Vector.blocking_clause ~precision:config.precision vars vec)
-    done;
+    ignore
+      (enumerate config ~scenario ~solver ~vars (fun vec ->
+           (match (exact_verdict_cached config grid vec, !best) with
+           | `Cost c, Some b when Q.( >= ) b c -> ()
+           | `Cost c, _ -> best := Some c
+           | `NoConv, _ -> ());
+           None));
     Option.map
       (fun c ->
         Q.mul (Q.of_int 100) (Q.div (Q.sub c base_cost) base_cost))

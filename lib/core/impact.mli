@@ -40,13 +40,14 @@ type config = {
   jobs : int;
       (** parallelism of candidate verification on the closed-form path
           (default 1 = sequential).  The verifications run on a
-          {!Pool.t}; the outcome — and the poisoned cost, when an attack
-          is found — is identical to the sequential run because the
-          lowest-index success wins ({!Pool.find_mapi_first}).  Only the
-          reported [candidates] count may be higher, since workers past
-          the winner may already have started.  The SMT enumeration loop
-          is inherently sequential (each candidate's blocking clause
-          feeds the next query) and ignores this field. *)
+          {!Pool.t}; the outcome — the poisoned cost and the [candidates]
+          count included — and every [attack.loop.*] / [audit.*] counter
+          are identical to the sequential run, because the lowest-index
+          success wins ({!Pool.find_mapi_first}) and both are taken by
+          position up to the winner, whatever workers past it had
+          started.  The SMT enumeration is inherently sequential (each
+          candidate's blocking clause feeds the next query) and ignores
+          this field. *)
   interrupt : (unit -> bool) option;
       (** probed between solver iterations and candidate verifications;
           returning [true] aborts the analysis by raising {!Interrupted}.
@@ -91,11 +92,9 @@ type config = {
           the audit on or off — only the number of OPF solves drops
           (counters [audit.pruned], [audit.pruned.islanding],
           [audit.pruned.interval], [audit.pruned.ceiling]; bumped per
-          solve actually avoided).  Pruned candidates still count as
-          examined, with the same caveat as [jobs]: when an attack is
-          found, prunes past the winner may already be counted.  The
-          SMT enumeration path is model-driven and ignores this
-          field. *)
+          solve actually avoided, up to where the scan stopped).  Pruned
+          candidates still count as examined.  The SMT enumeration path
+          is model-driven and ignores this field. *)
   audit_cross_check : bool;
       (** solve every statically pruned candidate anyway (exact
           backends only) and assert the prune verdict against the
@@ -113,9 +112,9 @@ type success = {
   poisoned_cost : Numeric.Rat.t option;
       (** exact poisoned optimum (present with the LP backends) *)
   candidates : int;
-      (** attack vectors examined; with [jobs >= 2] this counts every
-          verification actually started, which can exceed the sequential
-          count (see {!config.jobs}) *)
+      (** attack vectors examined, the winner included — on the
+          closed-form path its position in the ranked list, counting
+          from 1, audited-away candidates included *)
 }
 
 type outcome =
@@ -141,6 +140,7 @@ val analyze :
   base:Attack.Base_state.t ->
   unit ->
   outcome
+(** {!analyze_sweep} on the single target [scenario.min_increase_pct]. *)
 
 val analyze_sweep :
   ?config:config ->
@@ -154,12 +154,15 @@ val analyze_sweep :
     threshold-independent computation instead of restarting from scratch
     per target:
 
-    - the attack-free OPF (and thus [T*]) is solved once;
+    - the attack-free OPF (and thus [T*]) is solved once, and each
+      distinct target is answered once: a repeated target shares its
+      outcome;
     - on the closed-form path the single-line candidates are enumerated
-      once, and with an exact backend each candidate's poisoned optimum
-      is solved at most once and compared against every threshold
-      (reuse is visible as [attack.sweep.reused_verifications] and as
-      flat [attack.loop.iterations] in [--stats]);
+      and audited once, every target's scan honours [jobs], and with an
+      exact backend each candidate's poisoned optimum is solved at most
+      once and compared against every threshold (reuse is visible as
+      [attack.sweep.reused_verifications] and as flat
+      [attack.loop.iterations] in [--stats]);
     - on the SMT path one solver and one encoding serve all targets:
       thresholds are processed in ascending order, which keeps
       accumulated blocking clauses sound (a candidate blocked at
@@ -167,13 +170,17 @@ val analyze_sweep :
       larger threshold).
 
     Results are returned in the input order of [increases].  On the
-    closed-form path, and on the SMT path whenever [max_candidates] does
-    not truncate the enumeration, outcomes are identical to running
-    {!analyze} per target.  When the SMT budget {e is} exhausted the
-    sweep can diverge from fresh per-target runs: the shared solver's
-    accumulated blocking clauses change which candidates each target's
-    [max_candidates] budget examines (the clauses themselves stay sound
-    — only the cut-off point of a truncated search moves). *)
+    closed-form path every outcome, [candidates] included, equals
+    {!analyze} per target.  On the SMT path a target's search skips the
+    candidates that lower targets already blocked, so its [candidates]
+    count can be smaller than a fresh {!analyze}'s and the solver may
+    come to a different winning vector first; whether an attack exists
+    is the same whenever [max_candidates] does not cut the search.  When
+    the SMT budget {e is} exhausted the sweep can diverge further from
+    fresh per-target runs: the shared solver's accumulated blocking
+    clauses change which candidates each target's [max_candidates]
+    budget examines (the clauses themselves stay sound — only the
+    cut-off point of a truncated search moves). *)
 
 val max_achievable_increase :
   ?config:config ->

@@ -1,14 +1,13 @@
-(* Process-wide metrics registry.  Counter/timer/histogram handles are
+(* Process-wide metrics registry.  Counter/histogram handles are
    records kept by the caller; the registry only maps names to handles so
    snapshots can enumerate them.
 
    Domain-safety: counters are Atomic.t ints (incr is one lock-free
    fetch-and-add, so totals are exact — not approximately merged — when
    several domains of a Pool instrument the same counter); histograms are
-   arrays of Atomic.t ints with the same discipline; timer accumulation
-   is guarded by a per-timer mutex; registry lookups are guarded by a
-   global mutex (they happen once per handle at module initialisation,
-   never on a hot path). *)
+   arrays of Atomic.t ints with the same discipline; registry lookups
+   are guarded by a global mutex (they happen once per handle at module
+   initialisation, never on a hot path). *)
 
 let enabled_flag = Atomic.make false
 let set_enabled b = Atomic.set enabled_flag b
@@ -57,55 +56,6 @@ module Counter = struct
   let add c n = ignore (Atomic.fetch_and_add c.v n)
   let get c = Atomic.get c.v
   let name c = c.name
-end
-
-module Timer = struct
-  type t = {
-    name : string;
-    m : Mutex.t;
-    mutable seconds : float;
-    mutable calls : int;
-  }
-
-  let registry : (string, t) Hashtbl.t = Hashtbl.create 64
-
-  let make name =
-    Mutex.protect registry_mutex (fun () ->
-        match Hashtbl.find_opt registry name with
-        | Some t -> t
-        | None ->
-          let t = { name; m = Mutex.create (); seconds = 0.0; calls = 0 } in
-          Hashtbl.add registry name t;
-          t)
-
-  let record t s =
-    Mutex.protect t.m (fun () ->
-        t.seconds <- t.seconds +. s;
-        t.calls <- t.calls + 1)
-
-  (* gated like [with_]: a span measured by a caller that did not arm the
-     layer is discarded, so call ratios between [with_]-wrapped and
-     externally measured spans stay consistent *)
-  let add_seconds t s = if Atomic.get enabled_flag then record t s
-
-  let with_ t f =
-    if not (Atomic.get enabled_flag) then f ()
-    else begin
-      let t0 = Clock.now () in
-      match f () with
-      | v ->
-        record t (Clock.now () -. t0);
-        v
-      | exception e ->
-        record t (Clock.now () -. t0);
-        raise e
-    end
-
-  let total_seconds t = Mutex.protect t.m (fun () -> t.seconds)
-  let count t = Mutex.protect t.m (fun () -> t.calls)
-  let name t = t.name
-
-  let read t = Mutex.protect t.m (fun () -> (t.seconds, t.calls))
 end
 
 type hist_entry = {
@@ -483,11 +433,8 @@ module Json = struct
     | _ -> None
 end
 
-type timer_entry = { seconds : float; calls : int }
-
 type snapshot = {
   counters : (string * int) list;
-  timers : (string * timer_entry) list;
   histograms : (string * hist_entry) list;
 }
 
@@ -495,25 +442,18 @@ let by_name (a, _) (b, _) = compare (a : string) b
 
 let snapshot () =
   (* the registry lock freezes the set of handles; each entry's value is
-     then read atomically (counter, histogram fields) or under its own
-     lock (timer) *)
-  let counters, timers, histograms =
+     then read atomically *)
+  let counters, histograms =
     Mutex.protect registry_mutex (fun () ->
         ( Hashtbl.fold
             (fun name c acc -> (name, Counter.get c) :: acc)
             Counter.registry [],
-          Hashtbl.fold
-            (fun name t acc ->
-              let seconds, calls = Timer.read t in
-              (name, { seconds; calls }) :: acc)
-            Timer.registry [],
           Hashtbl.fold
             (fun name h acc -> (name, Histogram.read h) :: acc)
             Histogram.registry [] ))
   in
   {
     counters = List.sort by_name counters;
-    timers = List.sort by_name timers;
     histograms = List.sort by_name histograms;
   }
 
@@ -539,25 +479,6 @@ let diff ~before ~after =
         else if v - v0 = 0 then None
         else Some (name, v - v0))
       after.counters
-  in
-  let timers =
-    List.filter_map
-      (fun (name, (e : timer_entry)) ->
-        let e0 =
-          match List.assoc_opt name before.timers with
-          | Some e0 -> e0
-          | None -> { seconds = 0.0; calls = 0 }
-        in
-        let d =
-          { seconds = e.seconds -. e0.seconds; calls = e.calls - e0.calls }
-        in
-        if d.calls < 0 || d.seconds < 0.0 then begin
-          incr regressed;
-          None
-        end
-        else if d.calls = 0 && d.seconds = 0.0 then None
-        else Some (name, d))
-      after.timers
   in
   let histograms =
     List.filter_map
@@ -606,18 +527,12 @@ let diff ~before ~after =
     if !regressed = 0 then counters
     else List.sort by_name ((regressed_marker, !regressed) :: counters)
   in
-  { counters; timers; histograms }
+  { counters; histograms }
 
 let reset () =
   Mutex.protect registry_mutex (fun () ->
       Hashtbl.iter (fun _ (c : Counter.t) -> Atomic.set c.Counter.v 0)
         Counter.registry;
-      Hashtbl.iter
-        (fun _ (t : Timer.t) ->
-          Mutex.protect t.Timer.m (fun () ->
-              t.Timer.seconds <- 0.0;
-              t.Timer.calls <- 0))
-        Timer.registry;
       Hashtbl.iter
         (fun _ (h : Histogram.t) ->
           Array.iter (fun b -> Atomic.set b 0) h.Histogram.buckets;
@@ -627,18 +542,15 @@ let reset () =
           Atomic.set h.Histogram.max_micro min_int)
         Histogram.registry)
 
-let to_table { counters; timers; histograms } =
+let to_table { counters; histograms } =
   let buf = Buffer.create 256 in
   let live_counters = List.filter (fun (_, v) -> v <> 0) counters in
-  let live_timers = List.filter (fun (_, e) -> e.calls <> 0) timers in
   let live_hists = List.filter (fun (_, h) -> h.h_count <> 0) histograms in
   let width =
     List.fold_left
       (fun w (name, _) -> max w (String.length name))
       24
-      (live_counters
-      @ List.map (fun (n, _) -> (n, 0)) live_timers
-      @ List.map (fun (n, _) -> (n, 0)) live_hists)
+      (live_counters @ List.map (fun (n, _) -> (n, 0)) live_hists)
   in
   if live_counters <> [] then begin
     Buffer.add_string buf "counters:\n";
@@ -646,16 +558,6 @@ let to_table { counters; timers; histograms } =
       (fun (name, v) ->
         Buffer.add_string buf (Printf.sprintf "  %-*s %d\n" width name v))
       live_counters
-  end;
-  if live_timers <> [] then begin
-    Buffer.add_string buf "timers:\n";
-    List.iter
-      (fun (name, e) ->
-        Buffer.add_string buf
-          (Printf.sprintf "  %-*s %10.6fs  (%d call%s)\n" width name e.seconds
-             e.calls
-             (if e.calls = 1 then "" else "s")))
-      live_timers
   end;
   if live_hists <> [] then begin
     Buffer.add_string buf "histograms:\n";
@@ -698,21 +600,10 @@ let json_of_hist_entry (h : hist_entry) =
              h.h_buckets) );
     ]
 
-let json_of_snapshot { counters; timers; histograms } =
+let json_of_snapshot { counters; histograms } =
   Json.Obj
     [
       ("counters", Json.Obj (List.map (fun (n, v) -> (n, Json.Int v)) counters));
-      ( "timers",
-        Json.Obj
-          (List.map
-             (fun (n, e) ->
-               ( n,
-                 Json.Obj
-                   [
-                     ("seconds", Json.Float e.seconds);
-                     ("calls", Json.Int e.calls);
-                   ] ))
-             timers) );
       ( "histograms",
         Json.Obj (List.map (fun (n, h) -> (n, json_of_hist_entry h)) histograms)
       );
@@ -818,13 +709,6 @@ let to_prometheus ?(namespace = "topoguard") snap =
     (fun (n, v) ->
       Prometheus.counter buf ~name:(full n ^ "_total") (float_of_int v))
     snap.counters;
-  List.iter
-    (fun (n, (e : timer_entry)) ->
-      Prometheus.counter buf ~name:(full n ^ "_seconds_total") e.seconds;
-      Prometheus.counter buf
-        ~name:(full n ^ "_calls_total")
-        (float_of_int e.calls))
-    snap.timers;
   List.iter
     (fun (n, h) -> Prometheus.histogram buf ~name:(full n) h)
     snap.histograms;

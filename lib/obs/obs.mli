@@ -1,7 +1,8 @@
-(** Zero-dependency observability: monotonic counters, wall-clock timers,
-    lock-free log-bucketed histograms, structured trace spans, and a
-    process-wide registry that snapshots to a human-readable table,
-    machine-readable JSON, or Prometheus text exposition.
+(** Zero-dependency observability: monotonic counters, lock-free
+    log-bucketed histograms (wall-clock timings included), structured
+    trace spans, and a process-wide registry that snapshots to a
+    human-readable table, machine-readable JSON, or Prometheus text
+    exposition.
 
     Design constraints, in order:
 
@@ -14,22 +15,22 @@
       instrumented code (candidate verification, contingency screening)
       on several domains at once: counter and histogram totals are
       {e exact} under parallelism (atomic adds, not per-domain
-      approximations merged later), timer accumulation is serialised by a
-      per-timer mutex, and registry creation/snapshot/reset by a registry
-      mutex.  Trace spans go to per-domain ring buffers, so recording
-      never contends on a lock.
-    - Timers call the clock twice per span, which is too expensive for
-      inner loops but fine around whole solves; they are additionally
-      gated on {!set_enabled} so a disabled build pays one branch.
+      approximations merged later), and registry creation/snapshot/reset
+      is serialised by a registry mutex.  Trace spans go to per-domain
+      ring buffers, so recording never contends on a lock.
+    - {!Histogram.time} calls the clock twice per span, which is too
+      expensive for inner loops but fine around whole solves; it is
+      additionally gated on {!set_enabled} so a disabled build pays one
+      branch.
     - The library depends on nothing (not even [unix]): the wall clock is
       injected via {!Clock.set} by binaries that link [unix]; the default
       is [Sys.time] (CPU seconds), which keeps the library usable from
       anywhere. *)
 
 val set_enabled : bool -> unit
-(** Master switch for timers and clock-reading histogram helpers
-    (counters and direct histogram observations are always live; they are
-    too cheap to gate).  Off by default. *)
+(** Master switch for the clock-reading {!Histogram.time} (counters and
+    direct histogram observations are always live; they are too cheap to
+    gate).  Off by default. *)
 
 val enabled : unit -> bool
 
@@ -69,29 +70,6 @@ module Counter : sig
   val name : t -> string
 end
 
-module Timer : sig
-  type t
-
-  val make : string -> t
-  (** Create-or-get, like {!Counter.make}. *)
-
-  val with_ : t -> (unit -> 'a) -> 'a
-  (** Run the thunk, accumulating its wall-clock duration and bumping the
-      call count — when {!enabled}; otherwise just run the thunk. *)
-
-  val add_seconds : t -> float -> unit
-  (** Record an externally measured span.  Gated on {!enabled} exactly
-      like {!with_}: a span recorded while the layer is disarmed is
-      discarded, so the [calls] ratio between [with_]-wrapped and
-      externally measured sites of one program stays consistent.  (Before
-      this was pinned down, [add_seconds] recorded unconditionally while
-      [with_] did not, silently skewing mixed instrumentation.) *)
-
-  val total_seconds : t -> float
-  val count : t -> int
-  val name : t -> string
-end
-
 type hist_entry = {
   h_count : int;  (** observations *)
   h_sum : float;  (** sum of observed values (micro-unit resolution) *)
@@ -128,8 +106,9 @@ module Histogram : sig
   val observe_int : t -> int -> unit
 
   val time : t -> (unit -> 'a) -> 'a
-  (** Run the thunk and observe its wall-clock duration in seconds —
-      when {!enabled} (it reads the clock); otherwise just run it. *)
+  (** Run the thunk and observe its wall-clock duration in seconds, also
+      when it raises — when {!enabled} (it reads the clock); otherwise
+      just run it. *)
 
   val count : t -> int
   val sum : t -> float
@@ -171,16 +150,13 @@ module Json : sig
   (** Field lookup in an [Obj]; [None] elsewhere. *)
 end
 
-type timer_entry = { seconds : float; calls : int }
-
 type snapshot = {
   counters : (string * int) list;  (** name-sorted *)
-  timers : (string * timer_entry) list;  (** name-sorted *)
   histograms : (string * hist_entry) list;  (** name-sorted *)
 }
 
 val snapshot : unit -> snapshot
-(** Consistent copy of every registered counter, timer and histogram. *)
+(** Consistent copy of every registered counter and histogram. *)
 
 val diff : before:snapshot -> after:snapshot -> snapshot
 (** Per-name subtraction ([after - before]); names missing from [before]
@@ -192,16 +168,14 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     not differencable and report the [after] values. *)
 
 val reset : unit -> unit
-(** Zero every registered counter, timer and histogram (registrations
-    survive). *)
+(** Zero every registered counter and histogram (registrations survive). *)
 
 val to_table : snapshot -> string
-(** Human-readable table: counters, timers, and histograms with
+(** Human-readable table: counters and histograms with
     count/sum/min/p50/p90/p99/max; empty entries omitted. *)
 
 val json_of_snapshot : snapshot -> Json.t
 (** [{ "counters": { name: int, ... },
-      "timers": { name: { "seconds": s, "calls": n }, ... },
       "histograms": { name: { "count", "sum", "min", "max",
                               "buckets": [ { "le", "count" }, ... ] } } }]
     — bucket counts are per-bucket; the overflow bound serialises as the
@@ -237,8 +211,7 @@ end
 
 val to_prometheus : ?namespace:string -> snapshot -> string
 (** The whole snapshot in Prometheus text exposition: every counter as
-    [<ns>_<name>_total], every timer as [<ns>_<name>_seconds_total] and
-    [<ns>_<name>_calls_total], every histogram as [<ns>_<name>] with
+    [<ns>_<name>_total], every histogram as [<ns>_<name>] with
     cumulative buckets.  Names are sanitized (dots become underscores);
     [namespace] defaults to ["topoguard"]. *)
 

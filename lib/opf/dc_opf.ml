@@ -23,7 +23,7 @@ let per_bus_loads grid loads =
     v
 
 let obs_solves = Obs.Counter.make "opf.dc_opf.solves"
-let obs_timer = Obs.Timer.make "opf.dc_opf.solve"
+let obs_seconds = Obs.Histogram.make "opf.dc_opf.solve.seconds"
 
 let solve_inner ?loads (topo : Grid.Topology.t) =
   let grid = topo.Grid.Topology.grid in
@@ -105,6 +105,6 @@ let solve_inner ?loads (topo : Grid.Topology.t) =
 let solve ?loads topo =
   Obs.Counter.incr obs_solves;
   Obs.Trace.with_span "opf.dc_opf.solve" @@ fun () ->
-  Obs.Timer.with_ obs_timer (fun () -> solve_inner ?loads topo)
+  Obs.Histogram.time obs_seconds (fun () -> solve_inner ?loads topo)
 
 let base_case grid = solve (Grid.Topology.make grid)

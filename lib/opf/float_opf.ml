@@ -21,7 +21,7 @@ module N = Grid.Network
 let q_of_ptdf f = Q.of_ints (int_of_float (Float.round (f *. 1e6)) ) 1_000_000
 
 let obs_solves = Obs.Counter.make "opf.float_opf.solves"
-let obs_timer = Obs.Timer.make "opf.float_opf.solve"
+let obs_seconds = Obs.Histogram.make "opf.float_opf.solve.seconds"
 
 (* Adds [-cap <= row . (pg - loads) <= cap] for a per-bus float
    shift-factor row, each entry rounded to the 1e-6 step; generation
@@ -154,7 +154,7 @@ let certified = Certify.minimize ?mangle_cert:None
 
 let solve ?loads topo =
   Obs.Counter.incr obs_solves;
-  Obs.Timer.with_ obs_timer (fun () ->
+  Obs.Histogram.time obs_seconds (fun () ->
       build ?loads ~extra:no_extra ~solve:certified topo)
 
 let solve_exact topo = build ~extra:no_extra ~solve:Certify.solve_exact topo

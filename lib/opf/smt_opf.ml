@@ -92,11 +92,11 @@ let encode solver ?loads (topo : Grid.Topology.t) =
   { pg_vars; theta_vars; cost_var }
 
 let obs_solves = Obs.Counter.make "opf.smt_opf.solves"
-let obs_timer = Obs.Timer.make "opf.smt_opf.feasible"
+let obs_seconds = Obs.Histogram.make "opf.smt_opf.feasible.seconds"
 
 let feasible ?loads topo ~budget =
   Obs.Counter.incr obs_solves;
-  Obs.Timer.with_ obs_timer (fun () ->
+  Obs.Histogram.time obs_seconds (fun () ->
       let solver = Solver.create () in
       let e = encode solver ?loads topo in
       Solver.assert_form solver (F.le (L.var e.cost_var) (L.const budget));

@@ -5,7 +5,7 @@ let obs_atom_hits = Obs.Counter.make "smt.solver.atom_cache_hits"
 let obs_atom_misses = Obs.Counter.make "smt.solver.atom_cache_misses"
 let obs_tseitin = Obs.Counter.make "smt.solver.tseitin_clauses"
 let obs_checks = Obs.Counter.make "smt.solver.checks"
-let obs_check_timer = Obs.Timer.make "smt.solver.check"
+let obs_check_seconds = Obs.Histogram.make "smt.solver.check.seconds"
 let obs_decisions_hist = Obs.Histogram.make "smt.sat.decisions_per_check"
 let obs_pivots_hist = Obs.Histogram.make "smt.simplex.pivots_per_check"
 
@@ -296,7 +296,7 @@ let check s =
     r
   in
   Obs.Trace.with_span "smt.check" (fun () ->
-      match Obs.Timer.with_ obs_check_timer (fun () -> check_inner s) with
+      match Obs.Histogram.time obs_check_seconds (fun () -> check_inner s) with
       | r -> finish r
       | exception e ->
         ignore (finish ());

@@ -518,6 +518,142 @@ let inclusion_tests =
           (Q.is_zero base.Attack.Base_state.flows.(4)));
   ]
 
+(* threshold sweeps: one scan answers several impact targets *)
+
+module I = Topoguard.Impact
+
+let outcome_repr = function
+  | I.Attack_found s ->
+    Format.asprintf "found %a cost=%s threshold=%s after %d" Vec.pp
+      s.I.vector
+      (match s.I.poisoned_cost with Some c -> Q.to_string c | None -> "-")
+      (Q.to_string s.I.threshold) s.I.candidates
+  | I.No_attack { candidates } -> Printf.sprintf "none after %d" candidates
+  | I.Base_infeasible e -> "infeasible: " ^ e
+
+(* the outcome without its [candidates] count *)
+let verdict_repr = function
+  | I.Attack_found s -> outcome_repr (I.Attack_found { s with I.candidates = 0 })
+  | I.No_attack _ -> "none"
+  | I.Base_infeasible e -> "infeasible: " ^ e
+
+let examined = function
+  | I.Attack_found s -> s.I.candidates
+  | I.No_attack { candidates } -> candidates
+  | I.Base_infeasible _ -> 0
+
+let counter name = Obs.Counter.get (Obs.Counter.make name)
+let pcts = List.map Q.of_decimal_string
+
+let ieee14_proportional () =
+  let scenario = TS.ieee 14 in
+  match Attack.Base_state.proportional scenario.Grid.Spec.grid with
+  | Ok base -> (scenario, base)
+  | Error e -> failwith e
+
+let closed_form =
+  {
+    I.default_config with
+    I.use_closed_form = true;
+    max_topology_changes = Some 1;
+  }
+
+(* each swept outcome against a fresh per-target analysis *)
+let against_analyze ~config ~scenario ~base increases check =
+  let swept = I.analyze_sweep ~config ~scenario ~base ~increases () in
+  Alcotest.(check (list string))
+    "targets in input order"
+    (List.map Q.to_string increases)
+    (List.map (fun (pct, _) -> Q.to_string pct) swept);
+  List.iter
+    (fun (pct, outcome) ->
+      let scenario = { scenario with Grid.Spec.min_increase_pct = pct } in
+      check
+        (Printf.sprintf "target %s%%" (Q.to_decimal_string ~digits:2 pct))
+        (I.analyze ~config ~scenario ~base ())
+        outcome)
+    swept
+
+let sweep_tests =
+  [
+    Alcotest.test_case "closed form: sweep == analyze per target" `Quick
+      (fun () ->
+        let scenario, base = ieee14_proportional () in
+        against_analyze ~config:closed_form ~scenario ~base
+          (pcts [ "0.01"; "1"; "5" ])
+          (fun what single swept ->
+            Alcotest.(check string) what (outcome_repr single)
+              (outcome_repr swept)));
+    Alcotest.test_case "SMT: sweep verdicts == analyze per target" `Quick
+      (fun () ->
+        (* the shared solver skips candidates a lower target blocked, so
+           a target's count can only be smaller than a fresh run's *)
+        let scenario, base = cs1_base () in
+        against_analyze ~config:I.default_config ~scenario ~base
+          (pcts [ "4"; "0.5"; "8"; "2" ])
+          (fun what single swept ->
+            Alcotest.(check string) what (verdict_repr single)
+              (verdict_repr swept);
+            Alcotest.(check bool)
+              (what ^ ": no more candidates than a fresh run")
+              true
+              (examined swept <= examined single)));
+    Alcotest.test_case "a repeated target shares its outcome" `Quick
+      (fun () ->
+        let scenario, base = cs1_base () in
+        match I.analyze_sweep ~scenario ~base ~increases:(pcts [ "4"; "4" ]) () with
+        | [ (_, a); (_, b) ] ->
+          Alcotest.(check string) "same outcome" (outcome_repr a)
+            (outcome_repr b)
+        | _ -> Alcotest.fail "expected two outcomes");
+    Alcotest.test_case "exact sweep verifies each candidate once" `Quick
+      (fun () ->
+        let scenario, base = ieee14_proportional () in
+        let config = { closed_form with I.audit = false } in
+        let listed =
+          min config.I.max_candidates
+            (List.length (Attack.Single_line.all_feasible ~scenario ~base))
+        in
+        let c0 = counter "attack.loop.candidates" in
+        let r0 = counter "attack.sweep.reused_verifications" in
+        ignore
+          (I.analyze_sweep ~config ~scenario ~base
+             ~increases:(pcts [ "0.01"; "1"; "5"; "100" ])
+             ());
+        Alcotest.(check bool) "at most one verification per candidate" true
+          (counter "attack.loop.candidates" - c0 <= listed);
+        Alcotest.(check bool) "later targets reuse verdicts" true
+          (counter "attack.sweep.reused_verifications" > r0));
+    Alcotest.test_case "traced sweep: a verify span per verification" `Quick
+      (fun () ->
+        let scenario, base = ieee14_proportional () in
+        let c0 = counter "attack.loop.candidates" in
+        Obs.Trace.clear ();
+        Obs.Trace.set_enabled true;
+        Fun.protect
+          ~finally:(fun () -> Obs.Trace.set_enabled false)
+          (fun () ->
+            ignore
+              (I.analyze_sweep ~config:closed_form ~scenario ~base
+                 ~increases:(pcts [ "0.01"; "1"; "5" ])
+                 ()));
+        let spans =
+          match Obs.Json.member "traceEvents" (Obs.Trace.export_json ()) with
+          | Some (Obs.Json.List events) ->
+            List.length
+              (List.filter
+                 (fun ev ->
+                   Obs.Json.member "name" ev = Some (Obs.Json.String "impact.verify")
+                   && Obs.Json.member "ph" ev = Some (Obs.Json.String "B"))
+                 events)
+          | _ -> Alcotest.fail "no traceEvents"
+        in
+        Obs.Trace.clear ();
+        let verified = counter "attack.loop.candidates" - c0 in
+        Alcotest.(check bool) "some candidate verified" true (verified > 0);
+        Alcotest.(check int) "one impact.verify span each" verified spans);
+  ]
+
 let () =
   Alcotest.run "attack"
     [
@@ -526,4 +662,5 @@ let () =
       ("evaluation", evaluation_tests);
       ("single-line", single_line_tests);
       ("inclusion", inclusion_tests);
+      ("sweep", sweep_tests);
     ]

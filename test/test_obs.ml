@@ -1,4 +1,4 @@
-(* Tests for the observability layer: counter/timer semantics, snapshot
+(* Tests for the observability layer: counter/histogram semantics, snapshot
    diffing, the JSON emitter/parser, and end-to-end solver statistics. *)
 
 module J = Obs.Json
@@ -27,60 +27,6 @@ let counter_tests =
         Obs.set_enabled was;
         Alcotest.(check int) "counted while disabled" (before + 1)
           (Obs.Counter.get c));
-  ]
-
-let timer_tests =
-  [
-    Alcotest.test_case "with_ counts calls when enabled" `Quick (fun () ->
-        let t = Obs.Timer.make "test.obs.timer_a" in
-        let was = Obs.enabled () in
-        Obs.set_enabled true;
-        let n0 = Obs.Timer.count t in
-        let r = Obs.Timer.with_ t (fun () -> 7) in
-        Obs.set_enabled was;
-        Alcotest.(check int) "result passes through" 7 r;
-        Alcotest.(check int) "one call" (n0 + 1) (Obs.Timer.count t));
-    Alcotest.test_case "with_ is transparent when disabled" `Quick (fun () ->
-        let t = Obs.Timer.make "test.obs.timer_b" in
-        let was = Obs.enabled () in
-        Obs.set_enabled false;
-        let n0 = Obs.Timer.count t in
-        ignore (Obs.Timer.with_ t (fun () -> ()));
-        Obs.set_enabled was;
-        Alcotest.(check int) "not counted" n0 (Obs.Timer.count t));
-    Alcotest.test_case "with_ records on exception" `Quick (fun () ->
-        let t = Obs.Timer.make "test.obs.timer_exn" in
-        let was = Obs.enabled () in
-        Obs.set_enabled true;
-        let n0 = Obs.Timer.count t in
-        (try Obs.Timer.with_ t (fun () -> failwith "boom")
-         with Failure _ -> ());
-        Obs.set_enabled was;
-        Alcotest.(check int) "counted despite raise" (n0 + 1)
-          (Obs.Timer.count t));
-    Alcotest.test_case "add_seconds accumulates" `Quick (fun () ->
-        let t = Obs.Timer.make "test.obs.timer_c" in
-        let was = Obs.enabled () in
-        Obs.set_enabled true;
-        let s0 = Obs.Timer.total_seconds t in
-        Obs.Timer.add_seconds t 0.25;
-        Obs.Timer.add_seconds t 0.25;
-        Obs.set_enabled was;
-        Alcotest.(check (float 1e-9)) "half second" (s0 +. 0.5)
-          (Obs.Timer.total_seconds t));
-    Alcotest.test_case "add_seconds is gated like with_" `Quick (fun () ->
-        (* regression: add_seconds used to record unconditionally while
-           with_ was gated, skewing call ratios of mixed instrumentation *)
-        let t = Obs.Timer.make "test.obs.timer_gate" in
-        let was = Obs.enabled () in
-        Obs.set_enabled false;
-        let n0 = Obs.Timer.count t in
-        let s0 = Obs.Timer.total_seconds t in
-        Obs.Timer.add_seconds t 1.0;
-        Obs.set_enabled was;
-        Alcotest.(check int) "no call while disarmed" n0 (Obs.Timer.count t);
-        Alcotest.(check (float 1e-9)) "no seconds while disarmed" s0
-          (Obs.Timer.total_seconds t));
   ]
 
 let histogram_tests =
@@ -157,6 +103,35 @@ let histogram_tests =
           (Obs.quantile e 0.9);
         Alcotest.(check (option (float 1e-9))) "p100 is the max" (Some 1.0)
           (Obs.quantile e 1.0));
+    Alcotest.test_case "time passes the result through" `Quick (fun () ->
+        let h = Obs.Histogram.make "test.obs.hist_time_result" in
+        let was = Obs.enabled () in
+        Obs.set_enabled true;
+        let n0 = Obs.Histogram.count h in
+        let r = Obs.Histogram.time h (fun () -> 7) in
+        Obs.set_enabled was;
+        Alcotest.(check int) "result passes through" 7 r;
+        Alcotest.(check int) "one observation" (n0 + 1) (Obs.Histogram.count h));
+    Alcotest.test_case "time records on exception" `Quick (fun () ->
+        let h = Obs.Histogram.make "test.obs.hist_time_exn" in
+        let was = Obs.enabled () in
+        Obs.set_enabled true;
+        let n0 = Obs.Histogram.count h in
+        (try Obs.Histogram.time h (fun () -> failwith "boom")
+         with Failure _ -> ());
+        Obs.set_enabled was;
+        Alcotest.(check int) "observed despite raise" (n0 + 1)
+          (Obs.Histogram.count h));
+    Alcotest.test_case "time is transparent when disabled" `Quick (fun () ->
+        let h = Obs.Histogram.make "test.obs.hist_time_off" in
+        let was = Obs.enabled () in
+        Obs.set_enabled false;
+        let n0 = Obs.Histogram.count h and s0 = Obs.Histogram.sum h in
+        let r = Obs.Histogram.time h (fun () -> "x") in
+        Obs.set_enabled was;
+        Alcotest.(check string) "result passes through" "x" r;
+        Alcotest.(check int) "not observed" n0 (Obs.Histogram.count h);
+        Alcotest.(check (float 0.)) "sum unchanged" s0 (Obs.Histogram.sum h));
     Alcotest.test_case "time is gated on enabled" `Quick (fun () ->
         let h = Obs.Histogram.make "test.obs.hist_time_gate" in
         let was = Obs.enabled () in
@@ -307,14 +282,12 @@ let snapshot_tests =
         let before =
           {
             Obs.counters = [ ("test.obs.regressing", 10) ];
-            timers = [];
             histograms = [];
           }
         in
         let after =
           {
             Obs.counters = [ ("test.obs.regressing", 3) ];
-            timers = [];
             histograms = [];
           }
         in
@@ -447,7 +420,6 @@ let () =
   Alcotest.run "obs"
     [
       ("counter", counter_tests);
-      ("timer", timer_tests);
       ("histogram", histogram_tests);
       ("trace", trace_tests);
       ("snapshot", snapshot_tests);

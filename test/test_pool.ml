@@ -181,25 +181,23 @@ let obs_hammer_tests =
               ~f:(fun n -> Obs.Counter.add c n)
               (List.init 1000 (fun i -> i + 1)));
         Alcotest.(check int) "sum 1..1000" (v0 + 500_500) (Obs.Counter.get c));
-    Alcotest.test_case "timer calls exact under parallel add_seconds" `Quick
+    Alcotest.test_case "histogram exact under parallel observe" `Quick
       (fun () ->
-        let t = Obs.Timer.make "test.pool.hammer_timer" in
-        let n0 = Obs.Timer.count t in
-        let s0 = Obs.Timer.total_seconds t in
-        let was = Obs.enabled () in
-        Obs.set_enabled true;
+        let h = Obs.Histogram.make "test.pool.hammer_hist" in
+        let n0 = Obs.Histogram.count h in
+        let s0 = Obs.Histogram.sum h in
         Pool.with_pool ~jobs:4 (fun pool ->
             Pool.iter pool
-              ~f:(fun _ -> Obs.Timer.add_seconds t 0.001)
+              ~f:(fun _ -> Obs.Histogram.observe h 0.001)
               (List.init 10_000 Fun.id));
-        Obs.set_enabled was;
-        Alcotest.(check int) "10k spans recorded" (n0 + 10_000)
-          (Obs.Timer.count t);
+        Alcotest.(check int) "10k observations recorded" (n0 + 10_000)
+          (Obs.Histogram.count h);
         Alcotest.(check (float 1e-6)) "10 accumulated seconds" (s0 +. 10.0)
-          (Obs.Timer.total_seconds t));
+          (Obs.Histogram.sum h));
   ]
 
-(* --- closed-form impact: jobs=4 must equal jobs=1 on the 14-bus grid --- *)
+(* --- closed-form impact: jobs=4 must equal jobs=1 on the 14-bus grid,
+   the reported candidate count included --- *)
 
 let impact_equivalence_tests =
   let scenario_for pct =
@@ -215,34 +213,63 @@ let impact_equivalence_tests =
       jobs;
     }
   in
-  let run scenario jobs =
-    match Attack.Base_state.of_opf scenario.Grid.Spec.grid with
+  let base_of base scenario =
+    let grid = scenario.Grid.Spec.grid in
+    match
+      match base with
+      | `Opf -> Attack.Base_state.of_opf grid
+      | `Proportional -> Attack.Base_state.proportional grid
+    with
     | Error e -> Alcotest.failf "base state: %s" e
-    | Ok base -> I.analyze ~config:(config jobs) ~scenario ~base ()
+    | Ok b -> b
   in
-  let check_equal pct =
-    let scenario = scenario_for pct in
-    match (run scenario 1, run scenario 4) with
+  let check_same what a b =
+    match (a, b) with
     | I.Attack_found a, I.Attack_found b ->
-      Alcotest.(check bool) "same excluded lines" true
+      Alcotest.(check bool) (what ^ ": same excluded lines") true
         (a.I.vector.Attack.Vector.excluded = b.I.vector.Attack.Vector.excluded);
-      Alcotest.(check bool) "same included lines" true
+      Alcotest.(check bool) (what ^ ": same included lines") true
         (a.I.vector.Attack.Vector.included = b.I.vector.Attack.Vector.included);
-      Alcotest.(check bool) "same poisoned cost" true
+      Alcotest.(check bool) (what ^ ": same poisoned cost") true
         (match (a.I.poisoned_cost, b.I.poisoned_cost) with
         | Some ca, Some cb -> Q.equal ca cb
         | None, None -> true
         | _ -> false);
-      Alcotest.(check bool) "same threshold" true
-        (Q.equal a.I.threshold b.I.threshold)
-    | I.No_attack _, I.No_attack _ -> ()
-    | _ -> Alcotest.fail "jobs=4 outcome differs from jobs=1"
+      Alcotest.(check bool) (what ^ ": same threshold") true
+        (Q.equal a.I.threshold b.I.threshold);
+      Alcotest.(check int) (what ^ ": same candidates") a.I.candidates
+        b.I.candidates
+    | I.No_attack a, I.No_attack b ->
+      Alcotest.(check int) (what ^ ": same candidates") a.candidates
+        b.candidates
+    | _ -> Alcotest.failf "%s: jobs=4 outcome differs from jobs=1" what
+  in
+  let check_equal ?(base = `Opf) pct =
+    let scenario = scenario_for pct in
+    let base = base_of base scenario in
+    let run jobs = I.analyze ~config:(config jobs) ~scenario ~base () in
+    check_same "analyze" (run 1) (run 4)
   in
   [
     Alcotest.test_case "14-bus: low target, jobs=4 == jobs=1" `Quick (fun () ->
         check_equal (Q.of_ints 1 2));
     Alcotest.test_case "14-bus: unattainable target, jobs=4 == jobs=1" `Quick
       (fun () -> check_equal (Q.of_int 100000));
+    Alcotest.test_case "14-bus proportional 0.01%: jobs=4 == jobs=1" `Quick
+      (fun () -> check_equal ~base:`Proportional (Q.of_ints 1 100));
+    Alcotest.test_case "14-bus sweep: jobs=4 == jobs=1" `Quick (fun () ->
+        let scenario = scenario_for Q.one in
+        let base = base_of `Proportional scenario in
+        let increases =
+          List.map Q.of_decimal_string [ "0.01"; "1"; "5"; "100000" ]
+        in
+        let run jobs =
+          I.analyze_sweep ~config:(config jobs) ~scenario ~base ~increases ()
+        in
+        List.iter2
+          (fun (pct, a) (_, b) ->
+            check_same (Printf.sprintf "target %s%%" (Q.to_string pct)) a b)
+          (run 1) (run 4));
   ]
 
 (* --- contingency screening: parallel result identical to sequential --- *)
