@@ -34,26 +34,26 @@ let mk () =
   let x = Certify.add_var ~lo:Q.zero ~hi:(Q.of_int 4) t in
   let y = Certify.add_var ~lo:Q.zero ~hi:(Q.of_int 4) t in
   let z = Certify.add_var ~lo:Q.zero ~hi:(Q.of_int 4) t in
-  Certify.add_ge t [ (x, Q.one); (y, Q.one); (z, Q.one) ] (Q.of_int 5);
-  Certify.add_le t [ (x, Q.one); (y, Q.of_int 2) ] (Q.of_int 6);
+  Certify.add_row t ~lo:(Q.of_int 5) [ (x, Q.one); (y, Q.one); (z, Q.one) ];
+  Certify.add_row t ~hi:(Q.of_int 6) [ (x, Q.one); (y, Q.of_int 2) ];
   (t, [ (x, Q.of_int 3); (y, Q.of_int 2); (z, Q.of_int 4) ])
 
-let mangle (c : Flp.certificate) =
-  let statuses = Array.copy c.Flp.statuses in
+let mangle (c : Lp.Float.certificate) =
+  let statuses = Array.copy c.Lp.Float.statuses in
   (try
      Array.iteri
        (fun i s ->
          match s with
-         | Flp.At_lower ->
-           statuses.(i) <- Flp.At_upper;
+         | Lp.Float.At_lower ->
+           statuses.(i) <- Lp.Float.At_upper;
            raise Exit
-         | Flp.At_upper ->
-           statuses.(i) <- Flp.At_lower;
+         | Lp.Float.At_upper ->
+           statuses.(i) <- Lp.Float.At_lower;
            raise Exit
-         | Flp.Basic | Flp.Between _ -> ())
+         | Lp.Float.Basic | Lp.Float.Between _ -> ())
        statuses
    with Exit -> ());
-  { Flp.statuses }
+  { Lp.Float.statuses }
 
 let () =
   Obs.Clock.set Unix.gettimeofday;

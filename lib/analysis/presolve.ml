@@ -236,9 +236,8 @@ let run ~n_vars ~lo ~hi input_rows =
       cells
   in
   match
-    (* Lp merges constraints on one expression into one row, so a row can
-       arrive with its own bounds crossed; the passes below keep a row's
-       bound gap (substitution shifts both, merging checks) *)
+    (* a row can be recorded with its own bounds crossed; the passes below
+       keep a row's bound gap (substitution shifts both, merging checks) *)
     Array.iter
       (fun c ->
         match (c.clo, c.chi) with

@@ -1,6 +1,6 @@
-(** Optimum-preserving exact LP presolve, shared by the exact-rational
-    {!Lp} simplex and the certified float pipeline ({!Certify}), which
-    presolves in rationals before its float solve.
+(** Optimum-preserving exact LP presolve, run once per solve by
+    {!Certify}, the LP front end, before either simplex instance
+    ({!Lp.Float} or {!Lp.Exact}).
 
     The problem is a box [lo <= x <= hi] plus two-sided linear rows
     [rlo <= terms . x <= rhi] ([None] = free side).  {!run} applies, to a

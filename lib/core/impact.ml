@@ -52,7 +52,7 @@ let default_config =
     mode = Attack.Encoder.Topology_only;
     precision = 2;
     max_candidates = 200;
-    (* certified float OPF (Float_opf over Lp's Certify): the fastest
+    (* certified float OPF (Float_opf over Certify): the fastest
        backend is now exact at every system size, so it is the default *)
     backend = Fast_factors;
     max_topology_changes = None;
@@ -102,15 +102,6 @@ let threshold_of ~base_cost pct =
    threshold.  The SMT backend's bounded query is threshold-dependent and
    bypasses the store. *)
 
-(* Lp_exact and Fast_factors share one tag: both report exact optima
-   (Fast_factors through the certified float path), so their verify:
-   entries are interchangeable.  The residual difference is formulation —
-   angle variables vs float-rounded PTDFs — worth ~1e-6 relative on the
-   IEEE systems; see docs/certification.md. *)
-let backend_tag = function
-  | Lp_exact | Fast_factors -> "exact"
-  | Smt_bounded -> "smt"
-
 (* a rational as [Q.to_string] prints it, or None — a zero denominator
    included, so a malformed store value (a peer's [sync] inserts values
    without decoding them) is a miss, never a crash *)
@@ -150,6 +141,16 @@ let memoize store key ~encode ~decode solve =
     Store.Cache.add store ~key ~value:(encode v);
     v
 
+(* The angle formulation (the exact LP and SMT backends) and the PTDF one
+   (Fast_factors) never share a store entry: their optima differ by about
+   a part in 10^6 (docs/certification.md), and an answer must not depend
+   on which backend filled the store first. *)
+let formulation = function
+  | Fast_factors -> `Ptdf
+  | Lp_exact | Smt_bounded -> `Angle
+
+let formulation_tag = function `Angle -> "angle" | `Ptdf -> "ptdf"
+
 (* the key is a canonical serialisation of the poisoned instance itself
    (each line carries its mapped bit through the content sort), so two
    .grid files that are row permutations of each other share entries for
@@ -161,7 +162,7 @@ let verify_store_key config grid (vec : Attack.Vector.t) =
       ( store,
         "verify:"
         ^ Store.Canonical.verify_key
-            ~backend:(backend_tag config.backend)
+            ~backend:(formulation_tag (formulation config.backend))
             ~mapped:vec.Attack.Vector.mapped ~loads:vec.Attack.Vector.est_loads
             grid )
   | _ -> None
@@ -190,21 +191,15 @@ let exact_verdict_cached config grid vec =
 
    T* depends on the grid alone, so with a store each formulation is
    solved once and every later analysis of the grid reads it from a
-   base: entry.  The angle formulation (the exact LP and SMT backends)
-   and the PTDF one (Fast_factors, and the service's OPF base state)
-   never share an entry: their optima differ by about 1e-6, and a
-   threshold must not depend on what the store already holds.  The key
-   folds in the file's row ordering because [pg] is indexed by generator
-   row.  The value carries exactly what the analysis reads. *)
+   base: entry, kept per formulation like verify: entries (the service's
+   OPF base state reads the PTDF one).  The key folds in the file's row
+   ordering because [pg] is indexed by generator row.  The value carries
+   exactly what the analysis reads. *)
 
 type base_opf = [ `Optimal of Q.t * Q.t array | `Infeasible | `Unbounded ]
 
-let formulation = function
-  | Fast_factors -> `Ptdf
-  | Lp_exact | Smt_bounded -> `Angle
-
 let base_store_key form grid =
-  let tag = match form with `Angle -> "angle" | `Ptdf -> "ptdf" in
+  let tag = formulation_tag form in
   let loads = Array.make grid.N.n_buses Q.zero in
   Array.iter (fun (l : N.load) -> loads.(l.N.lbus) <- l.N.existing) grid.N.loads;
   String.concat ":"

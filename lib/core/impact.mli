@@ -60,7 +60,8 @@ type config = {
           - [verify:] entries, one per candidate verification.  With an
             exact backend the poisoned optimum is threshold-independent,
             so entries are keyed by a canonical serialisation of the
-            poisoned instance (backend, each line's electrical parameters
+            poisoned instance (formulation — [angle] for [Lp_exact],
+            [ptdf] for [Fast_factors] — each line's electrical parameters
             with its mapped bit, generators, per-bus shifted loads — see
             {!Store.Canonical.verify_key}) and are shared between
             scenarios that differ only in the impact target [I] — and,

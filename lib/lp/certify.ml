@@ -1,33 +1,32 @@
-(* Certified float LP: run Flp, then prove its verdict after the fact
-   with one exact rational refactorization of the final basis.  On any
-   gap — certificate rejected, float stall, float infeasible/unbounded —
-   re-solve with the exact simplex, warm-started from the float point, so
-   every answer leaving this module is exact. *)
+(* The one LP front end: record the problem, presolve it exactly once,
+   then run the float simplex and prove its verdict after the fact with
+   one exact rational refactorization of the final basis.  On any gap —
+   certificate rejected, float stall, float infeasible/unbounded —
+   re-solve the presolved rows with the exact simplex, warm-started from
+   the float point, so every answer leaving this module is exact. *)
 
 module Q = Numeric.Rat
 module B = Numeric.Bigint
 module Imap = Map.Make (Int)
 module P = Analysis.Presolve
+module F = Lp.Float
+module E = Lp.Exact
 
 let c_ok = Obs.Counter.make "lp.certify.ok"
 let c_fail = Obs.Counter.make "lp.certify.fail"
 let c_fallback = Obs.Counter.make "lp.certify.fallback"
 let h_seconds = Obs.Histogram.make "lp.certify.seconds"
 
-(* the exact presolve runs here, before the float solve; its counters are
-   shared with Lp *)
 let c_rows_eliminated = Obs.Counter.make "lp.presolve.rows_eliminated"
 let c_bounds_tightened = Obs.Counter.make "lp.presolve.bounds_tightened"
 let c_vars_fixed = Obs.Counter.make "lp.presolve.vars_fixed"
 let c_presolve_infeasible = Obs.Counter.make "lp.presolve.infeasible"
 let h_presolve_rows = Obs.Histogram.make "lp.presolve.rows_eliminated_per_solve"
 
-type row = { terms : (int * Q.t) list; rlo : Q.t option; rhi : Q.t option }
-
 type t = {
   mutable nvars : int;
   mutable vars : (Q.t option * Q.t option) list; (* reversed *)
-  mutable rows : row list; (* reversed *)
+  mutable rows : P.row list; (* reversed *)
   warm : (int, Q.t) Hashtbl.t;
 }
 
@@ -62,10 +61,7 @@ let canon terms =
     merged []
   |> List.rev
 
-let add_row t ?rlo ?rhi terms = t.rows <- { terms = canon terms; rlo; rhi } :: t.rows
-let add_le t terms b = add_row t ~rhi:b terms
-let add_ge t terms b = add_row t ~rlo:b terms
-let add_eq t terms b = add_row t ~rlo:b ~rhi:b terms
+let add_row t ?lo ?hi terms = t.rows <- { P.terms = canon terms; lo; hi } :: t.rows
 
 (* ---- exact certificate check ---- *)
 
@@ -74,8 +70,8 @@ exception Reject of string
 (* The (post-presolve) problem is: minimize c.x subject to the variable
    box and, per row k, [rlo_k <= a_k . x <= rhi_k] — equivalently
    [a_k . x - s_k = 0] with slack s_k boxed by the row bounds.  Variable
-   ids: user vars [0..n-1], slack for row k at [n + k] (the layout Flp
-   produces, one {!Flp.add_range} slack per row).
+   ids: user vars [0..n-1], slack for row k at [n + k] (the layout the
+   simplex produces, one {!Lp.S.add_range} slack per row).
 
    Given the certificate's basic/nonbasic split: pin every nonbasic
    variable to its claimed bound (exactly), solve the square basic system
@@ -93,17 +89,17 @@ exception Reject of string
    Primal and dual core solves come back as integer numerators over one
    shared denominator, so the O(m) slack recovery and dual accumulation
    below stay gcd-free (docs/linalg.md walks through the sizes). *)
-let validate ~n ~lo ~hi ~(rows : P.row array) ~obj (cert : Flp.certificate) =
+let validate ~n ~lo ~hi ~(rows : P.row array) ~obj (cert : F.certificate) =
   let m = Array.length rows in
   let nv = n + m in
-  let st = cert.Flp.statuses in
+  let st = cert.F.statuses in
   if Array.length st <> nv then raise (Reject "certificate arity");
   let bound_lo v = if v < n then lo.(v) else rows.(v - n).P.lo in
   let bound_hi v = if v < n then hi.(v) else rows.(v - n).P.hi in
   (* basic user variables = columns of the core *)
   let users = ref [] in
   for v = n - 1 downto 0 do
-    match st.(v) with Flp.Basic -> users := v :: !users | _ -> ()
+    match st.(v) with F.Basic -> users := v :: !users | _ -> ()
   done;
   let users = Array.of_list !users in
   let u = Array.length users in
@@ -112,7 +108,7 @@ let validate ~n ~lo ~hi ~(rows : P.row array) ~obj (cert : Flp.certificate) =
   let basic_slacks = ref 0 in
   for k = m - 1 downto 0 do
     match st.(n + k) with
-    | Flp.Basic -> incr basic_slacks
+    | F.Basic -> incr basic_slacks
     | _ -> binding := k :: !binding
   done;
   let binding = Array.of_list !binding in
@@ -132,16 +128,16 @@ let validate ~n ~lo ~hi ~(rows : P.row array) ~obj (cert : Flp.certificate) =
   Array.iteri
     (fun v s ->
       match s with
-      | Flp.Basic -> ()
-      | Flp.At_lower -> (
+      | F.Basic -> ()
+      | F.At_lower -> (
         match bound_lo v with
         | Some l -> nb_val.(v) <- l
         | None -> raise (Reject "at-lower without lower bound"))
-      | Flp.At_upper -> (
+      | F.At_upper -> (
         match bound_hi v with
         | Some h -> nb_val.(v) <- h
         | None -> raise (Reject "at-upper without upper bound"))
-      | Flp.Between x ->
+      | F.Between x ->
         if not (Float.is_finite x) then raise (Reject "between not finite");
         nb_val.(v) <- clamp v (Q.of_float x))
     st;
@@ -182,7 +178,7 @@ let validate ~n ~lo ~hi ~(rows : P.row array) ~obj (cert : Flp.certificate) =
   Array.iteri
     (fun k (r : P.row) ->
       match st.(n + k) with
-      | Flp.Basic ->
+      | F.Basic ->
         let big = ref Q.zero and small = ref Q.zero in
         List.iter
           (fun (j, a) ->
@@ -227,7 +223,7 @@ let validate ~n ~lo ~hi ~(rows : P.row array) ~obj (cert : Flp.certificate) =
   Array.iteri
     (fun v s ->
       match s with
-      | Flp.Basic -> ()
+      | F.Basic -> ()
       | _ ->
         let fixed =
           match (bound_lo v, bound_hi v) with
@@ -237,53 +233,19 @@ let validate ~n ~lo ~hi ~(rows : P.row array) ~obj (cert : Flp.certificate) =
         if not fixed then begin
           let d = Q.sub (cost v) (Q.div ya_num.(v) qyden) in
           match s with
-          | Flp.At_lower ->
+          | F.At_lower ->
             if Q.sign d < 0 then raise (Reject "reduced cost at lower")
-          | Flp.At_upper ->
+          | F.At_upper ->
             if Q.sign d > 0 then raise (Reject "reduced cost at upper")
-          | Flp.Between _ ->
+          | F.Between _ ->
             if Q.sign d <> 0 then raise (Reject "reduced cost between")
-          | Flp.Basic -> ()
+          | F.Basic -> ()
         end)
     st;
   Array.init n (fun v ->
       if ucol.(v) >= 0 then xu.(ucol.(v)) else nb_val.(v))
 
-(* ---- exact fallback ---- *)
-
-let linexp_of terms =
-  Smt.Linexp.sum (List.map (fun (v, c) -> Smt.Linexp.monomial c v) terms)
-
-let exact_fallback t obj ~constant ~warm_values =
-  let lp = Lp.create () in
-  List.iter
-    (fun (lo, hi) -> ignore (Lp.add_var ?lo ?hi lp))
-    (List.rev t.vars);
-  (match warm_values with
-  | Some vals ->
-    Array.iteri
-      (fun v x -> if Float.is_finite x then Lp.set_initial lp v (Q.of_float x))
-      vals
-  | None -> Hashtbl.iter (fun v x -> Lp.set_initial lp v x) t.warm);
-  List.iter
-    (fun r ->
-      let e = linexp_of r.terms in
-      match (r.rlo, r.rhi) with
-      | Some l, Some h when Q.equal l h -> Lp.add_eq lp e l
-      | rlo, rhi ->
-        (match rlo with Some l -> Lp.add_ge lp e l | None -> ());
-        (match rhi with Some h -> Lp.add_le lp e h | None -> ()))
-    (List.rev t.rows);
-  match Lp.minimize lp (linexp_of obj) with
-  | Lp.Optimal { objective; values } ->
-    Optimal { objective = Q.add objective constant; values; certified = false }
-  | Lp.Infeasible -> Infeasible
-  | Lp.Unbounded -> Unbounded
-
-let solve_exact t obj ~constant =
-  exact_fallback t (canon obj) ~constant ~warm_values:None
-
-(* ---- the certified pipeline ---- *)
+(* ---- presolve, once per solve ---- *)
 
 let report_stats (st : P.stats) =
   Obs.Counter.add c_rows_eliminated st.P.rows_eliminated;
@@ -291,51 +253,76 @@ let report_stats (st : P.stats) =
   Obs.Counter.add c_vars_fixed st.P.vars_fixed;
   Obs.Histogram.observe_int h_presolve_rows st.P.rows_eliminated
 
-let minimize ?mangle_cert t obj ~constant =
-  Obs.Trace.with_span "lp.certify.minimize" @@ fun () ->
-  let obj = canon obj in
-  let n = t.nvars in
+(* both simplex instances and the certificate check run on this one
+   exact reduction; [None] is a sound infeasibility verdict *)
+let presolve t =
   let vars = Array.of_list (List.rev t.vars) in
-  let plo = Array.map fst vars and phi = Array.map snd vars in
-  let prows =
-    List.rev_map
-      (fun r -> { P.terms = r.terms; lo = r.rlo; hi = r.rhi })
-      t.rows
-  in
-  (* exact presolve up front: the float solve then runs on the reduced
-     problem, and the certificate is checked against that same exact
-     reduction *)
-  match P.run ~n_vars:n ~lo:plo ~hi:phi prows with
+  match
+    P.run ~n_vars:t.nvars ~lo:(Array.map fst vars) ~hi:(Array.map snd vars)
+      (List.rev t.rows)
+  with
   | P.Infeasible { stats; _ } ->
     report_stats stats;
     Obs.Counter.incr c_presolve_infeasible;
-    Infeasible
+    None
   | P.Reduced { lo; hi; rows; fixed = _; stats } ->
     report_stats stats;
-    let rows = Array.of_list rows in
-    let f = Flp.create () in
-    let fl = function Some q -> Q.to_float q | None -> neg_infinity in
-    let fh = function Some q -> Q.to_float q | None -> infinity in
-    for v = 0 to n - 1 do
-      ignore (Flp.add_var ~lo:(fl lo.(v)) ~hi:(fh hi.(v)) f)
-    done;
-    Hashtbl.iter (fun v x -> Flp.set_initial f v (Q.to_float x)) t.warm;
+    Some (lo, hi, Array.of_list rows)
+
+(* the exact simplex on presolved rows, warm-started by [warm] *)
+let exact ~lo ~hi ~rows ~warm obj ~constant =
+  let e = E.create () in
+  Array.iteri (fun v lo -> ignore (E.add_var ?lo ?hi:hi.(v) e)) lo;
+  warm (E.set_initial e);
+  Array.iter (fun (r : P.row) -> E.add_range e r.P.terms ~lo:r.P.lo ~hi:r.P.hi) rows;
+  match E.minimize e obj ~constant with
+  | E.Optimal { objective; values }, _ ->
+    Optimal { objective; values; certified = false }
+  | E.Infeasible, _ -> Infeasible
+  | E.Unbounded, _ -> Unbounded
+  | E.Stall _, _ -> assert false (* the exact instance has no step limit *)
+
+let solve_exact t obj ~constant =
+  match presolve t with
+  | None -> Infeasible
+  | Some (lo, hi, rows) ->
+    exact ~lo ~hi ~rows
+      ~warm:(fun set -> Hashtbl.iter set t.warm)
+      (canon obj) ~constant
+
+(* ---- the certified pipeline ---- *)
+
+let minimize ?mangle_cert t obj ~constant =
+  Obs.Trace.with_span "lp.certify.minimize" @@ fun () ->
+  let obj = canon obj in
+  match presolve t with
+  | None -> Infeasible
+  | Some (lo, hi, rows) ->
+    let n = t.nvars in
+    let fl = Option.map Q.to_float in
+    let floats = List.map (fun (v, c) -> (v, Q.to_float c)) in
+    let f = F.create () in
+    Array.iteri (fun v lo -> ignore (F.add_var ?lo:(fl lo) ?hi:(fl hi.(v)) f)) lo;
+    Hashtbl.iter (fun v x -> F.set_initial f v (Q.to_float x)) t.warm;
     Array.iter
-      (fun (r : P.row) ->
-        let terms = List.map (fun (v, c) -> (v, Q.to_float c)) r.P.terms in
-        Flp.add_range f terms ~lo:(fl r.P.lo) ~hi:(fh r.P.hi))
+      (fun (r : P.row) -> F.add_range f (floats r.P.terms) ~lo:(fl r.P.lo) ~hi:(fl r.P.hi))
       rows;
-    let fobj = List.map (fun (v, c) -> (v, Q.to_float c)) obj in
-    let result, cert = Flp.minimize_cert f fobj ~constant:(Q.to_float constant) in
+    let result, cert = F.minimize f (floats obj) ~constant:(Q.to_float constant) in
     let obj_map =
       List.fold_left (fun acc (v, c) -> Imap.add v c acc) Imap.empty obj
     in
-    let fallback warm =
+    let fallback fvals =
       Obs.Counter.incr c_fallback;
-      exact_fallback t obj ~constant ~warm_values:warm
+      let warm set =
+        match fvals with
+        | Some vals ->
+          Array.iteri (fun v x -> if Float.is_finite x then set v (Q.of_float x)) vals
+        | None -> Hashtbl.iter set t.warm
+      in
+      exact ~lo ~hi ~rows ~warm obj ~constant
     in
     (match (result, cert) with
-    | Flp.Optimal { values = fvals; _ }, Some cert -> (
+    | F.Optimal { values = fvals; _ }, Some cert -> (
       let cert = match mangle_cert with Some g -> g cert | None -> cert in
       let checked =
         Obs.Histogram.time h_seconds (fun () ->
@@ -354,7 +341,6 @@ let minimize ?mangle_cert t obj ~constant =
       | None ->
         Obs.Counter.incr c_fail;
         fallback (Some fvals))
-    | Flp.Optimal { values = fvals; _ }, None -> fallback (Some fvals)
-    | Flp.Stall { values = fvals }, _ -> fallback (Some fvals)
-    | Flp.Infeasible, _ -> fallback None
-    | Flp.Unbounded, _ -> fallback None)
+    | F.Optimal { values = fvals; _ }, None | F.Stall { values = fvals }, _ ->
+      fallback (Some fvals)
+    | (F.Infeasible | F.Unbounded), _ -> fallback None)

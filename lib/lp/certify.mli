@@ -1,12 +1,14 @@
-(** Certified float linear programming — FPTaylor-style "compute in
-    floats, prove in rationals".
+(** The one LP front end: certified float linear programming —
+    FPTaylor-style "compute in floats, prove in rationals" — and the exact
+    reference solve.  Variables, rows and warm starts are recorded here,
+    and every solve presolves them exactly once.
 
     The pipeline behind {!minimize}:
 
     + exact presolve ({!Analysis.Presolve}) on the recorded problem — an
       [Infeasible] verdict here is already sound;
-    + float simplex ({!Flp}) on the reduced problem, which emits a
-      {{!Flp.certificate} basis certificate} at optimality;
+    + float simplex ({!Lp.Float}) on the reduced problem, which emits a
+      {{!Lp.S.certificate} basis certificate} at optimality;
     + one exact refactorization of the certified basis with the
       fraction-free {!Linalg.Bareiss} kernel: pin nonbasic variables to
       their claimed bounds, solve the square basic system in rationals,
@@ -14,11 +16,13 @@
       exact optimum off the basis;
     + on any gap — certificate rejected, float stall/cycle, float
       infeasible or unbounded verdict — transparent fallback to the exact
-      {!Lp} simplex, warm-started from the float point.
+      simplex ({!Lp.Exact}) on the same presolved rows, warm-started from
+      the float point.
 
     Either way the returned optimum is exact; [certified] records which
     path produced it.  Observable as [lp.certify.{ok,fail,fallback}]
-    counters and the [lp.certify.seconds] check-time histogram. *)
+    counters, the [lp.certify.seconds] check-time histogram and the
+    [lp.presolve.*] counters. *)
 
 type t
 
@@ -37,15 +41,16 @@ val create : unit -> t
 val add_var : ?lo:Numeric.Rat.t -> ?hi:Numeric.Rat.t -> t -> int
 
 val set_initial : t -> int -> Numeric.Rat.t -> unit
-(** Warm start for the float solve (and the exact fallback when no float
-    point is available). *)
+(** Warm start for the float solve and {!solve_exact} (and for the exact
+    fallback when no float point is available). *)
 
-val add_le : t -> (int * Numeric.Rat.t) list -> Numeric.Rat.t -> unit
-val add_ge : t -> (int * Numeric.Rat.t) list -> Numeric.Rat.t -> unit
-val add_eq : t -> (int * Numeric.Rat.t) list -> Numeric.Rat.t -> unit
+val add_row :
+  t -> ?lo:Numeric.Rat.t -> ?hi:Numeric.Rat.t -> (int * Numeric.Rat.t) list -> unit
+(** The row [lo <= terms . x <= hi]; an absent bound leaves that side
+    free, and [~lo:b ~hi:b] is an equality. *)
 
 val minimize :
-  ?mangle_cert:(Flp.certificate -> Flp.certificate) ->
+  ?mangle_cert:(Lp.Float.certificate -> Lp.Float.certificate) ->
   t ->
   (int * Numeric.Rat.t) list ->
   constant:Numeric.Rat.t ->
@@ -56,5 +61,7 @@ val minimize :
 
 val solve_exact :
   t -> (int * Numeric.Rat.t) list -> constant:Numeric.Rat.t -> outcome
-(** The same problem on the exact simplex only — the reference the
-    certified path is compared against in tests ([certified] is [false]). *)
+(** The same problem, presolved, on the exact simplex ({!Lp.Exact}) alone
+    from the recorded warm start: the exact reference the certified path
+    is compared against, and the angle-formulation OPF's solve
+    ([certified] is [false]). *)

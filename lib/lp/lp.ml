@@ -1,443 +1,464 @@
-module Q = Numeric.Rat
-module Imap = Map.Make (Int)
-module P = Analysis.Presolve
+(* The bounded-variable primal simplex over a number type.  The float and
+   exact instances share every scan and update; they differ only in the
+   tolerance, the pivot schedule and the two O(rows x columns) row
+   kernels, which each instance writes over its own unboxed (float) or
+   sparse-aware (rational) arrays. *)
 
-type result =
-  | Optimal of { objective : Q.t; values : Q.t array }
-  | Infeasible
-  | Unbounded
+module type NUM = sig
+  type t
 
-let presolve_default = ref true
+  val zero : t
+  val one : t
+  val add : t -> t -> t
+  val sub : t -> t -> t
+  val mul : t -> t -> t
+  val div : t -> t -> t
+  val neg : t -> t
+  val abs : t -> t
+  val lt : t -> t -> bool
+  val le : t -> t -> bool
+  val is_zero : t -> bool
+  val eps : t
+  val name : string
+  val bland_after : int
+  val step_limit : int option
+  val add_scaled : t array -> t -> t array -> unit
+  val neg_scale : t array -> t -> unit
+end
 
-(* shared with Certify, which runs the same exact presolve *)
-let c_rows_eliminated = Obs.Counter.make "lp.presolve.rows_eliminated"
-let c_bounds_tightened = Obs.Counter.make "lp.presolve.bounds_tightened"
-let c_vars_fixed = Obs.Counter.make "lp.presolve.vars_fixed"
-let c_presolve_infeasible = Obs.Counter.make "lp.presolve.infeasible"
-let c_pivots = Obs.Counter.make "lp.exact.pivots"
-let h_pivots = Obs.Histogram.make "lp.exact.pivots_per_solve"
+module type S = sig
+  type num
 
-(* shared with Certify, like the presolve counters *)
-let h_presolve_rows = Obs.Histogram.make "lp.presolve.rows_eliminated_per_solve"
+  type result =
+    | Optimal of { objective : num; values : num array }
+    | Infeasible
+    | Unbounded
+    | Stall of { values : num array }
 
-(* a constraint as recorded before the tableau exists; [<=] and [>=] over
-   the same expression merge into one two-sided pending row *)
-type pending = {
-  pterms : (int * Q.t) list;
-  mutable plo : Q.t option;
-  mutable phi : Q.t option;
-  order : int; (* insertion rank, to keep tableau construction stable *)
-}
+  type var_status = Basic | At_lower | At_upper | Between of num
+  type certificate = { statuses : var_status array }
+  type t
 
-type t = {
-  mutable nvars : int;
-  mutable lo : Q.t option array;
-  mutable hi : Q.t option array;
-  mutable beta : Q.t array;
-  mutable rows : Q.t Imap.t Imap.t; (* basic var -> row over nonbasic vars *)
-  pending : (string, pending) Hashtbl.t; (* expression key -> constraint *)
-  mutable n_pending : int;
-  mutable pivots : int;
-  mutable user_vars : int; (* vars visible to the caller (before slacks) *)
-  presolve : bool;
-  mutable built : bool;
-}
+  val create : unit -> t
+  val add_var : ?lo:num -> ?hi:num -> t -> int
+  val set_initial : t -> int -> num -> unit
+  val add_range : t -> (int * num) list -> lo:num option -> hi:num option -> unit
 
-let create ?presolve () =
-  {
-    nvars = 0;
-    lo = Array.make 16 None;
-    hi = Array.make 16 None;
-    beta = Array.make 16 Q.zero;
-    rows = Imap.empty;
-    pending = Hashtbl.create 64;
-    n_pending = 0;
-    pivots = 0;
-    user_vars = 0;
-    presolve = Option.value presolve ~default:!presolve_default;
-    built = false;
+  val minimize :
+    t -> (int * num) list -> constant:num -> result * certificate option
+end
+
+module Make (N : NUM) : S with type num = N.t = struct
+  type num = N.t
+
+  type result =
+    | Optimal of { objective : N.t; values : N.t array }
+    | Infeasible
+    | Unbounded
+    | Stall of { values : N.t array }
+
+  type var_status = Basic | At_lower | At_upper | Between of N.t
+  type certificate = { statuses : var_status array }
+
+  let c_pivots = Obs.Counter.make ("lp." ^ N.name ^ ".pivots")
+  let h_pivots = Obs.Histogram.make ("lp." ^ N.name ^ ".pivots_per_solve")
+
+  let c_stall =
+    Option.map (fun _ -> Obs.Counter.make ("lp." ^ N.name ^ ".stall")) N.step_limit
+
+  let span = "lp." ^ N.name ^ ".minimize"
+  let minus_one = N.neg N.one
+  let neg_eps = N.neg N.eps
+
+  (* the problem as recorded; the tableau is built by [minimize] *)
+  type t = {
+    mutable n : int;
+    mutable boxes : (N.t option * N.t option) list; (* reversed *)
+    mutable starts : (int * N.t) list; (* reversed *)
+    mutable ranges : ((int * N.t) list * N.t option * N.t option) list;
+        (* reversed *)
   }
 
-let n_pivots t = t.pivots
+  let create () = { n = 0; boxes = []; starts = []; ranges = [] }
 
-let grow t =
-  let cap = Array.length t.beta in
-  if t.nvars > cap then begin
-    let ncap = max (2 * cap) t.nvars in
-    let extend a fill =
-      let b = Array.make ncap fill in
-      Array.blit a 0 b 0 cap;
-      b
-    in
-    t.lo <- extend t.lo None;
-    t.hi <- extend t.hi None;
-    t.beta <- extend t.beta Q.zero
-  end
+  let add_var ?lo ?hi t =
+    t.boxes <- (lo, hi) :: t.boxes;
+    t.n <- t.n + 1;
+    t.n - 1
 
-let new_var ?lo ?hi t =
-  let v = t.nvars in
-  t.nvars <- t.nvars + 1;
-  grow t;
-  t.lo.(v) <- lo;
-  t.hi.(v) <- hi;
-  (* start at a bound-respecting value *)
-  (t.beta.(v) <-
-    (match (lo, hi) with
-    | Some l, _ when Q.( > ) l Q.zero -> l
-    | _, Some h when Q.( < ) h Q.zero -> h
-    | _ -> Q.zero));
-  v
+  let set_initial t v x = t.starts <- (v, x) :: t.starts
+  let add_range t terms ~lo ~hi = t.ranges <- (terms, lo, hi) :: t.ranges
 
-let add_var ?lo ?hi ?name t =
-  ignore name;
-  if t.built then invalid_arg "Lp.add_var: tableau already built";
-  let v = new_var ?lo ?hi t in
-  t.user_vars <- t.user_vars + 1;
-  assert (v = t.user_vars - 1);
-  v
+  (* Pivoting runs on a mutable dense tableau.  OPF-style LPs have dense
+     columns (every generator appears in every flow row), so a sparse
+     pivot would rewrite nearly every row anyway.  Row r holds basic
+     variable [basis.(r)] over every variable id (basic columns are zero);
+     [rowof] is the inverse map, -1 when nonbasic.  Every scan runs over
+     variable ids in ascending order, so ties go to the lowest index and
+     Bland's rule is the smallest-index rule. *)
+  type state = {
+    nv : int;
+    lo : N.t option array;
+    hi : N.t option array;
+    beta : N.t array; (* current value of every variable *)
+    basis : int array;
+    rowof : int array;
+    mat : N.t array array;
+    mutable pivots : int;
+  }
 
-(* warm start: set a variable's initial value (clamped to its bounds);
-   call before minimize *)
-let set_initial t v x =
-  let x = match t.lo.(v) with Some l -> Q.max l x | None -> x in
-  let x = match t.hi.(v) with Some h -> Q.min h x | None -> x in
-  t.beta.(v) <- x
+  let below_lo s x =
+    match s.lo.(x) with Some l -> N.lt s.beta.(x) (N.sub l N.eps) | None -> false
 
-(* substitute basic variables out of a term map *)
-let normalize_terms t terms =
-  Imap.fold
-    (fun v c acc ->
-      let merge w cw acc =
-        Imap.update w
-          (function
-            | None -> if Q.is_zero cw then None else Some cw
-            | Some c0 ->
-              let s = Q.add c0 cw in
-              if Q.is_zero s then None else Some s)
-          acc
-      in
-      match Imap.find_opt v t.rows with
-      | None -> merge v c acc
-      | Some row -> Imap.fold (fun w cw acc -> merge w (Q.mul c cw) acc) row acc)
-    terms Imap.empty
+  let above_hi s x =
+    match s.hi.(x) with Some h -> N.lt (N.add h N.eps) s.beta.(x) | None -> false
 
-let row_value t row =
-  Imap.fold (fun v c acc -> Q.add acc (Q.mul c t.beta.(v))) row Q.zero
+  let can_increase s x =
+    match s.hi.(x) with Some h -> N.lt s.beta.(x) (N.sub h N.eps) | None -> true
 
-(* record (or tighten) the pending constraint lo <= e <= hi; bounds are
-   shifted by the constant part of e so the stored row is pure terms *)
-let record_constraint t ?lo ?hi e =
-  if t.built then invalid_arg "Lp: constraint added after minimize";
-  let const = Smt.Linexp.const_part e in
-  let key = Smt.Linexp.key e in
-  let p =
-    match Hashtbl.find_opt t.pending key with
-    | Some p -> p
-    | None ->
-      let p =
-        {
-          pterms = Smt.Linexp.terms e;
-          plo = None;
-          phi = None;
-          order = t.n_pending;
-        }
-      in
-      t.n_pending <- t.n_pending + 1;
-      Hashtbl.add t.pending key p;
-      p
-  in
-  let tighten current candidate keep_max =
-    match (current, candidate) with
-    | cur, None -> cur
-    | None, Some c -> Some c
-    | Some a, Some b -> Some (if keep_max then Q.max a b else Q.min a b)
-  in
-  p.plo <- tighten p.plo (Option.map (fun b -> Q.sub b const) lo) true;
-  p.phi <- tighten p.phi (Option.map (fun b -> Q.sub b const) hi) false
+  let can_decrease s x =
+    match s.lo.(x) with Some l -> N.lt (N.add l N.eps) s.beta.(x) | None -> true
 
-let add_le t e b = record_constraint t ~hi:b e
-let add_ge t e b = record_constraint t ~lo:b e
-let add_eq t e b = record_constraint t ~lo:b ~hi:b e
+  let clamp lo hi x =
+    let x = match lo with Some l when N.lt x l -> l | _ -> x in
+    match hi with Some h when N.lt h x -> h | _ -> x
 
-(* materialise one constraint row as a bounded slack basic variable *)
-let install_row t terms lo hi =
-  let term_map =
-    List.fold_left (fun m (v, c) -> Imap.add v c m) Imap.empty terms
-  in
-  let row = normalize_terms t term_map in
-  let s = new_var t in
-  t.lo.(s) <- lo;
-  t.hi.(s) <- hi;
-  t.rows <- Imap.add s row t.rows;
-  t.beta.(s) <- row_value t row
-
-let report_stats (st : P.stats) =
-  Obs.Counter.add c_rows_eliminated st.P.rows_eliminated;
-  Obs.Counter.add c_bounds_tightened st.P.bounds_tightened;
-  Obs.Counter.add c_vars_fixed st.P.vars_fixed;
-  Obs.Histogram.observe_int h_presolve_rows st.P.rows_eliminated
-
-(* deferred tableau construction: presolve the pending rows (unless
-   disabled), then build slack rows only for the survivors *)
-let build t =
-  t.built <- true;
-  let pend = Hashtbl.fold (fun _ p acc -> p :: acc) t.pending [] in
-  let pend = List.sort (fun a b -> compare a.order b.order) pend in
-  if not t.presolve then begin
-    List.iter (fun p -> install_row t p.pterms p.plo p.phi) pend;
-    `Ok
-  end
-  else begin
-    let n = t.user_vars in
-    let lo = Array.init n (fun v -> t.lo.(v)) in
-    let hi = Array.init n (fun v -> t.hi.(v)) in
-    let rows =
-      List.map (fun p -> { P.terms = p.pterms; lo = p.plo; hi = p.phi }) pend
-    in
-    match P.run ~n_vars:n ~lo ~hi rows with
-    | P.Infeasible { stats; _ } ->
-      report_stats stats;
-      Obs.Counter.incr c_presolve_infeasible;
-      `Infeasible
-    | P.Reduced { lo; hi; rows; fixed; stats } ->
-      report_stats stats;
+  (* variables, then one bounded slack per row, then the free objective
+     slack [z = nv - 1], which enters the basis and never leaves *)
+  let build t obj =
+    let n = t.n and ranges = List.rev t.ranges in
+    let m = List.length ranges in
+    let nv = n + m + 1 in
+    let lo = Array.make nv None and hi = Array.make nv None in
+    List.iteri
+      (fun i (l, h) ->
+        lo.(n - 1 - i) <- l;
+        hi.(n - 1 - i) <- h)
+      t.boxes;
+    let beta = Array.make nv N.zero in
+    for v = 0 to n - 1 do
+      beta.(v) <-
+        (match (lo.(v), hi.(v)) with
+        | Some l, _ when N.lt N.zero l -> l
+        | _, Some h when N.lt h N.zero -> h
+        | _ -> N.zero)
+    done;
+    List.iter
+      (fun (v, x) -> beta.(v) <- clamp lo.(v) hi.(v) x)
+      (List.rev t.starts);
+    (* a row over the variables: repeated ids merge, and sums below eps
+       are dropped to zero *)
+    let dense terms =
+      let a = Array.make nv N.zero in
+      List.iter
+        (fun (v, c) ->
+          let s = N.add a.(v) c in
+          a.(v) <- (if N.lt (N.abs s) N.eps then N.zero else s))
+        terms;
+      let value = ref N.zero in
       for v = 0 to n - 1 do
-        t.lo.(v) <- lo.(v);
-        t.hi.(v) <- hi.(v)
+        if not (N.is_zero a.(v)) then value := N.add !value (N.mul a.(v) beta.(v))
       done;
-      List.iter (fun (v, x) -> t.beta.(v) <- x) fixed;
-      (* re-clamp warm starts to the tightened box so every nonbasic
-         variable starts within bounds *)
-      for v = 0 to n - 1 do
-        (match t.lo.(v) with
-        | Some l when Q.( < ) t.beta.(v) l -> t.beta.(v) <- l
-        | _ -> ());
-        match t.hi.(v) with
-        | Some h when Q.( > ) t.beta.(v) h -> t.beta.(v) <- h
-        | _ -> ()
+      (a, !value)
+    in
+    let mat = Array.make (m + 1) [||] in
+    List.iteri
+      (fun k (terms, l, h) ->
+        let a, value = dense terms in
+        mat.(k) <- a;
+        lo.(n + k) <- l;
+        hi.(n + k) <- h;
+        beta.(n + k) <- value)
+      ranges;
+    let a, value = dense obj in
+    mat.(m) <- a;
+    beta.(nv - 1) <- value;
+    {
+      nv;
+      lo;
+      hi;
+      beta;
+      basis = Array.init (m + 1) (fun r -> n + r);
+      rowof = Array.init nv (fun v -> if v < n then -1 else v - n);
+      mat;
+      pivots = 0;
+    }
+
+  let pivot s xi xj =
+    (* exact pivots are the expensive unit of work; polling here lets a
+       cooperative cancel land mid-solve instead of after it *)
+    Obs.Probe.poll ();
+    s.pivots <- s.pivots + 1;
+    Obs.Counter.incr c_pivots;
+    let r = s.rowof.(xi) in
+    let row = s.mat.(r) in
+    let inv_a = N.div N.one row.(xj) in
+    (* the departing variable's row becomes the entering variable's row *)
+    N.neg_scale row inv_a;
+    row.(xj) <- N.zero;
+    row.(xi) <- inv_a;
+    Array.iteri
+      (fun r2 row2 ->
+        if r2 <> r then begin
+          let c = row2.(xj) in
+          if not (N.is_zero c) then begin
+            row2.(xj) <- N.zero;
+            N.add_scaled row2 c row
+          end
+        end)
+      s.mat;
+    s.basis.(r) <- xj;
+    s.rowof.(xi) <- -1;
+    s.rowof.(xj) <- r
+
+  (* move nonbasic [xj] by [step], carrying every basic variable along *)
+  let shift_nonbasic s xj step =
+    if not (N.is_zero step) then begin
+      Array.iteri
+        (fun r row ->
+          let c = row.(xj) in
+          if not (N.is_zero c) then begin
+            let b = s.basis.(r) in
+            s.beta.(b) <- N.add s.beta.(b) (N.mul c step)
+          end)
+        s.mat;
+      s.beta.(xj) <- N.add s.beta.(xj) step
+    end
+
+  (* set basic [xi] to [v] by moving [xj], then exchange them *)
+  let pivot_and_update s xi xj v =
+    let a = s.mat.(s.rowof.(xi)).(xj) in
+    let theta = N.div (N.sub v s.beta.(xi)) a in
+    s.beta.(xi) <- v;
+    s.beta.(xj) <- N.add s.beta.(xj) theta;
+    Array.iteri
+      (fun r row ->
+        let b = s.basis.(r) in
+        if b <> xi then begin
+          let c = row.(xj) in
+          if not (N.is_zero c) then s.beta.(b) <- N.add s.beta.(b) (N.mul c theta)
+        end)
+      s.mat;
+    pivot s xi xj
+
+  let first_index nv p =
+    let v = ref 0 in
+    while !v < nv && not (p !v) do
+      incr v
+    done;
+    if !v < nv then !v else -1
+
+  (* the entering variable among the columns [ok] admits: the first under
+     Bland's rule, else the largest |coefficient|, first on ties *)
+  let entering s ~bland row ok =
+    if bland then first_index s.nv (fun v -> ok v row.(v))
+    else begin
+      let best = ref N.zero and who = ref (-1) in
+      for v = 0 to s.nv - 1 do
+        let c = row.(v) in
+        if ok v c && N.lt !best (N.abs c) then begin
+          best := N.abs c;
+          who := v
+        end
       done;
-      List.iter (fun (r : P.row) -> install_row t r.P.terms r.P.lo r.P.hi) rows;
-      `Ok
-  end
+      !who
+    end
 
-(* a fresh basic variable equal to e - const(e), never shared: the
-   objective variable must stay basic and unbounded through phase I *)
-let fresh_slack t e =
-  let terms =
-    List.fold_left
-      (fun m (v, c) -> Imap.add v c m)
-      Imap.empty (Smt.Linexp.terms e)
-  in
-  let row = normalize_terms t terms in
-  let s = new_var t in
-  t.rows <- Imap.add s row t.rows;
-  t.beta.(s) <- row_value t row;
-  s
+  let stalled steps =
+    match N.step_limit with Some k -> steps > k | None -> false
 
-let below_lo t x = match t.lo.(x) with Some b -> Q.( < ) t.beta.(x) b | None -> false
-let above_hi t x = match t.hi.(x) with Some b -> Q.( > ) t.beta.(x) b | None -> false
-let can_increase t x = match t.hi.(x) with Some b -> Q.( < ) t.beta.(x) b | None -> true
-let can_decrease t x = match t.lo.(x) with Some b -> Q.( > ) t.beta.(x) b | None -> true
-
-let pivot t xi xj =
-  (* exact pivots are the expensive unit of work; polling here lets a
-     cooperative cancel land mid-solve instead of after it *)
-  Obs.Probe.poll ();
-  t.pivots <- t.pivots + 1;
-  Obs.Counter.incr c_pivots;
-  let row_i = Imap.find xi t.rows in
-  let a = Imap.find xj row_i in
-  let inv_a = Q.inv a in
-  let row_j =
-    Imap.fold
-      (fun v c acc ->
-        if v = xj then acc else Imap.add v (Q.neg (Q.mul c inv_a)) acc)
-      row_i
-      (Imap.singleton xi inv_a)
-  in
-  let rows = Imap.remove xi t.rows in
-  let rows =
-    Imap.map
-      (fun row ->
-        match Imap.find_opt xj row with
-        | None -> row
-        | Some c ->
-          let row = Imap.remove xj row in
-          Imap.fold
-            (fun v cv acc ->
-              Imap.update v
-                (function
-                  | None -> Some (Q.mul c cv)
-                  | Some c0 ->
-                    let s = Q.add c0 (Q.mul c cv) in
-                    if Q.is_zero s then None else Some s)
-                acc)
-            row_j row)
-      rows
-  in
-  t.rows <- Imap.add xj row_j rows
-
-let pivot_and_update t xi xj v =
-  let row_i = Imap.find xi t.rows in
-  let a = Imap.find xj row_i in
-  let theta = Q.div (Q.sub v t.beta.(xi)) a in
-  t.beta.(xi) <- v;
-  t.beta.(xj) <- Q.add t.beta.(xj) theta;
-  Imap.iter
-    (fun b row ->
-      if b <> xi then
-        match Imap.find_opt xj row with
-        | None -> ()
-        | Some c -> t.beta.(b) <- Q.add t.beta.(b) (Q.mul c theta))
-    t.rows;
-  pivot t xi xj
-
-(* phase I: make the assignment respect all bounds (Bland's rule) *)
-let feasibility t =
-  let rec loop () =
-    let violated =
-      Imap.fold
-        (fun b _ acc ->
-          match acc with
-          | Some _ -> acc
-          | None -> if below_lo t b || above_hi t b then Some b else None)
-        t.rows None
-    in
-    match violated with
-    | None -> true
-    | Some xi ->
-      let row = Imap.find xi t.rows in
-      let too_low = below_lo t xi in
-      let xj =
-        Imap.fold
-          (fun v c acc ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-              let ok =
-                if too_low = (Q.sign c > 0) then can_increase t v
-                else can_decrease t v
-              in
-              if ok then Some v else None)
-          row None
-      in
-      (match xj with
-      | None -> false
-      | Some xj ->
-        let target =
-          if too_low then Option.get t.lo.(xi) else Option.get t.hi.(xi)
-        in
-        pivot_and_update t xi xj target;
-        loop ())
-  in
-  loop ()
-
-(* adjust a nonbasic variable by [step], updating dependent basics *)
-let shift_nonbasic t xj step =
-  if not (Q.is_zero step) then begin
-    Imap.iter
-      (fun b row ->
-        match Imap.find_opt xj row with
-        | None -> ()
-        | Some c -> t.beta.(b) <- Q.add t.beta.(b) (Q.mul c step))
-      t.rows;
-    t.beta.(xj) <- Q.add t.beta.(xj) step
-  end
-
-(* phase II: minimise basic objective variable z (which has no bounds) *)
-let optimize t z =
-  let rec loop () =
-    let row_z = Imap.find z t.rows in
-    (* entering variable: smallest index whose move decreases z *)
-    let entering =
-      Imap.fold
-        (fun v c acc ->
-          match acc with
-          | Some _ -> acc
-          | None ->
-            let dir = -Q.sign c in
-            if dir > 0 && can_increase t v then Some (v, c, 1)
-            else if dir < 0 && can_decrease t v then Some (v, c, -1)
-            else None)
-        row_z None
-    in
-    match entering with
-    | None -> `Optimal
-    | Some (xj, _, dir) ->
-      (* ratio test: smallest step that drives some var to a bound *)
-      let dirq = Q.of_int dir in
-      let best = ref None in
-      (* own bound of xj *)
-      (match
-         if dir > 0 then Option.map (fun h -> Q.sub h t.beta.(xj)) t.hi.(xj)
-         else Option.map (fun l -> Q.sub t.beta.(xj) l) t.lo.(xj)
-       with
-      | Some limit -> best := Some (limit, `Own)
-      | None -> ());
-      Imap.iter
-        (fun xi row ->
-          if xi <> z then
-            match Imap.find_opt xj row with
-            | None -> ()
-            | Some c ->
-              let rate = Q.mul c dirq in
-              (* beta_i moves by rate * step *)
-              let limit =
-                if Q.sign rate > 0 then
-                  Option.map (fun h -> Q.div (Q.sub h t.beta.(xi)) rate) t.hi.(xi)
-                else if Q.sign rate < 0 then
-                  Option.map (fun l -> Q.div (Q.sub l t.beta.(xi)) rate) t.lo.(xi)
-                else None
-              in
-              match limit with
-              | None -> ()
-              | Some lim -> (
-                match !best with
-                | Some (b, _) when Q.( <= ) b lim -> ()
-                | _ -> best := Some (lim, `Basic xi)))
-        t.rows;
-      (match !best with
-      | None -> `Unbounded
-      | Some (step, `Own) ->
-        shift_nonbasic t xj (Q.mul dirq step);
-        loop ()
-      | Some (step, `Basic xi) ->
-        let blocked_value =
-          let rate = Q.mul (Imap.find xj (Imap.find xi t.rows)) dirq in
-          if Q.sign rate > 0 then Option.get t.hi.(xi) else Option.get t.lo.(xi)
-        in
-        ignore step;
-        (* move xj so that xi lands exactly on its blocking bound, pivot *)
-        pivot_and_update t xi xj blocked_value;
-        loop ())
-  in
-  loop ()
-
-let minimize t obj =
-  let p0 = t.pivots in
-  let finish r =
-    Obs.Histogram.observe_int h_pivots (t.pivots - p0);
-    r
-  in
-  Obs.Trace.with_span "lp.exact.minimize" @@ fun () ->
-  finish
-    (match build t with
-    | `Infeasible -> Infeasible
-    | `Ok -> (
-      let z =
-        fresh_slack t
-          (Smt.Linexp.sub obj (Smt.Linexp.const (Smt.Linexp.const_part obj)))
-      in
-      let const = Smt.Linexp.const_part obj in
-      if not (feasibility t) then Infeasible
+  (* Phase I: pivot the lowest-index out-of-bounds basic variable onto the
+     bound it violates *)
+  let feasibility s =
+    let rec loop steps =
+      if stalled steps then `Stall
       else
-        match optimize t z with
-        | `Unbounded -> Unbounded
-        | `Optimal ->
-          let values = Array.init t.user_vars (fun v -> t.beta.(v)) in
-          Optimal { objective = Q.add t.beta.(z) const; values }))
+        match first_index s.nv (fun v -> s.rowof.(v) >= 0 && (below_lo s v || above_hi s v)) with
+        | -1 -> `Feasible
+        | xi ->
+          let row = s.mat.(s.rowof.(xi)) in
+          let too_low = below_lo s xi in
+          let eligible v c =
+            (not (N.is_zero c))
+            &&
+            if too_low = N.lt N.zero c then can_increase s v
+            else can_decrease s v
+          in
+          (match entering s ~bland:(steps > N.bland_after) row eligible with
+          | -1 -> `Infeasible
+          | xj ->
+            let target = if too_low then s.lo.(xi) else s.hi.(xi) in
+            pivot_and_update s xi xj (Option.get target);
+            loop (steps + 1))
+    in
+    loop 1
 
-let maximize t obj =
-  match minimize t (Smt.Linexp.neg obj) with
-  | Optimal { objective; values } -> Optimal { objective = Q.neg objective; values }
-  | (Infeasible | Unbounded) as r -> r
+  (* Phase II: minimise the objective slack [z] *)
+  let optimize s z =
+    let row_z = s.mat.(s.rowof.(z)) in
+    let improving v c =
+      N.le N.eps (N.abs c)
+      && if N.lt c N.zero then can_increase s v
+         else N.lt N.zero c && can_decrease s v
+    in
+    let rec loop steps =
+      if stalled steps then `Stall
+      else
+        match entering s ~bland:(steps > N.bland_after) row_z improving with
+        | -1 -> `Optimal
+        | xj ->
+          let up = N.lt row_z.(xj) N.zero in
+          let dir = if up then N.one else minus_one in
+          (* ratio test: the smallest step that drives a variable to a
+             bound, the entering variable's own bound tried first *)
+          let found = ref false and best = ref N.zero and who = ref (-1) in
+          (match if up then s.hi.(xj) else s.lo.(xj) with
+          | Some b ->
+            found := true;
+            best := if up then N.sub b s.beta.(xj) else N.sub s.beta.(xj) b
+          | None -> ());
+          for v = 0 to s.nv - 1 do
+            let r = s.rowof.(v) in
+            if r >= 0 && v <> z then begin
+              let c = s.mat.(r).(xj) in
+              if not (N.is_zero c) then begin
+                let rate = N.mul c dir in
+                let bound =
+                  if N.lt N.eps rate then s.hi.(v)
+                  else if N.lt rate neg_eps then s.lo.(v)
+                  else None
+                in
+                match bound with
+                | Some b ->
+                  let limit = N.div (N.sub b s.beta.(v)) rate in
+                  if (not !found) || N.lt limit !best then begin
+                    found := true;
+                    best := limit;
+                    who := v
+                  end
+                | None -> ()
+              end
+            end
+          done;
+          if not !found then `Unbounded
+          else if !who < 0 then begin
+            shift_nonbasic s xj (N.mul dir !best);
+            loop (steps + 1)
+          end
+          else begin
+            let xi = !who in
+            let rate = N.mul s.mat.(s.rowof.(xi)).(xj) dir in
+            let blocked = if N.lt N.zero rate then s.hi.(xi) else s.lo.(xi) in
+            pivot_and_update s xi xj (Option.get blocked);
+            loop (steps + 1)
+          end
+    in
+    loop 1
+
+  (* Where every variable but [z] sits.  Nonbasic variables strictly
+     inside their box (free variables) are reported as [Between], so an
+     exact check can pin them to the point found. *)
+  let certificate s z =
+    let near b x =
+      match b with Some b -> N.le (N.abs (N.sub x b)) N.eps | None -> false
+    in
+    let statuses =
+      Array.init z (fun v ->
+          let x = s.beta.(v) in
+          if s.rowof.(v) >= 0 then Basic
+          else
+            match (s.lo.(v), s.hi.(v)) with
+            | Some l, Some h when N.le l h && N.le h l -> At_lower
+            | lo, hi ->
+              if near lo x then At_lower
+              else if near hi x then At_upper
+              else Between x)
+    in
+    { statuses }
+
+  let minimize t obj ~constant =
+    Obs.Trace.with_span span @@ fun () ->
+    let s = build t obj in
+    let z = s.nv - 1 in
+    let stall () =
+      Option.iter Obs.Counter.incr c_stall;
+      (Stall { values = Array.sub s.beta 0 t.n }, None)
+    in
+    let result =
+      match feasibility s with
+      | `Infeasible -> (Infeasible, None)
+      | `Stall -> stall ()
+      | `Feasible -> (
+        match optimize s z with
+        | `Unbounded -> (Unbounded, None)
+        | `Stall -> stall ()
+        | `Optimal ->
+          ( Optimal
+              {
+                objective = N.add s.beta.(z) constant;
+                values = Array.sub s.beta 0 t.n;
+              },
+            Some (certificate s z) ))
+    in
+    Obs.Histogram.observe_int h_pivots s.pivots;
+    result
+end
+
+module Float = Make (struct
+  type t = float
+
+  let zero = 0.0
+  let one = 1.0
+  let add = ( +. )
+  let sub = ( -. )
+  let mul = ( *. )
+  let div = ( /. )
+  let neg = Float.neg
+  let abs = Float.abs
+  let lt (a : float) b = a < b
+  let le (a : float) b = a <= b
+  let is_zero x = x = 0.0
+  let eps = 1e-9
+  let name = "float"
+  let bland_after = 5_000
+  let step_limit = Some 200_000
+
+  (* accumulations cancelling below eps are dropped to zero; fresh fill
+     is kept however small *)
+  let add_scaled dst c src =
+    for v = 0 to Array.length dst - 1 do
+      let cv = src.(v) in
+      if cv <> 0.0 then begin
+        let c0 = dst.(v) in
+        let s = c0 +. (c *. cv) in
+        dst.(v) <- (if c0 <> 0.0 && Float.abs s < eps then 0.0 else s)
+      end
+    done
+
+  let neg_scale row k =
+    for v = 0 to Array.length row - 1 do
+      row.(v) <- -.row.(v) *. k
+    done
+end)
+
+module Exact = Make (struct
+  include Numeric.Rat
+
+  let lt = ( < )
+  let le = ( <= )
+  let eps = zero
+  let name = "exact"
+  let bland_after = 0
+  let step_limit = None
+
+  let add_scaled dst c src =
+    Array.iteri
+      (fun v cv ->
+        if not (is_zero cv) then
+          let p = mul c cv in
+          dst.(v) <- (if is_zero dst.(v) then p else add dst.(v) p))
+      src
+
+  let neg_scale row k =
+    Array.iteri (fun v x -> if not (is_zero x) then row.(v) <- neg (mul x k)) row
+end)

@@ -1,5 +1,4 @@
 module Q = Numeric.Rat
-module L = Smt.Linexp
 module N = Grid.Network
 
 type dispatch = {
@@ -27,50 +26,41 @@ let obs_seconds = Obs.Histogram.make "opf.dc_opf.solve.seconds"
 
 let solve_inner ?loads (topo : Grid.Topology.t) =
   let grid = topo.Grid.Topology.grid in
+  let mapped = topo.Grid.Topology.mapped in
   let b = grid.N.n_buses in
   let loads = per_bus_loads grid loads in
-  let lp = Lp.create () in
+  let lp = Certify.create () in
   (* angle variables; the slack is pinned to zero *)
   let theta =
     Array.init b (fun j ->
         if j = topo.Grid.Topology.slack then
-          Lp.add_var ~lo:Q.zero ~hi:Q.zero lp
-        else Lp.add_var lp)
+          Certify.add_var ~lo:Q.zero ~hi:Q.zero lp
+        else Certify.add_var lp)
   in
   (* generator set-points *)
   let pg =
-    Array.map (fun (g : N.gen) -> Lp.add_var ~lo:g.N.pmin ~hi:g.N.pmax lp)
+    Array.map (fun (g : N.gen) -> Certify.add_var ~lo:g.N.pmin ~hi:g.N.pmax lp)
       grid.N.gens
   in
-  (* flow expression per mapped line *)
-  let flow_exp i =
+  (* flow terms per line, scaled by [sign] *)
+  let flow sign i =
     let ln = grid.N.lines.(i) in
-    L.scale ln.N.admittance
-      (L.sub (L.var theta.(ln.N.from_bus)) (L.var theta.(ln.N.to_bus)))
+    let y = Q.mul sign ln.N.admittance in
+    [ (theta.(ln.N.from_bus), y); (theta.(ln.N.to_bus), Q.neg y) ]
   in
-  (* line capacity constraints (both directions) *)
+  (* line capacity constraints, both directions in one row *)
   Array.iteri
     (fun i (ln : N.line) ->
-      if topo.Grid.Topology.mapped.(i) then begin
-        Lp.add_le lp (flow_exp i) ln.N.capacity;
-        Lp.add_ge lp (flow_exp i) (Q.neg ln.N.capacity)
-      end)
+      if mapped.(i) then
+        Certify.add_row lp ~lo:(Q.neg ln.N.capacity) ~hi:ln.N.capacity
+          (flow Q.one i))
     grid.N.lines;
-  (* nodal balance: sum(in) - sum(out) = Pd_j - Pg_j  (Eqs. 8/9) *)
+  (* nodal balance: sum(in) - sum(out) + Pg_j = Pd_j  (Eqs. 8/9) *)
   for j = 0 to b - 1 do
-    let inflow =
-      L.sum
-        (List.filter_map
-           (fun i ->
-             if topo.Grid.Topology.mapped.(i) then Some (flow_exp i) else None)
-           (N.lines_in grid j))
-    in
-    let outflow =
-      L.sum
-        (List.filter_map
-           (fun i ->
-             if topo.Grid.Topology.mapped.(i) then Some (flow_exp i) else None)
-           (N.lines_out grid j))
+    let flows sign lines =
+      List.concat_map
+        (fun i -> if mapped.(i) then flow sign i else [])
+        lines
     in
     let gen_term =
       match
@@ -78,25 +68,24 @@ let solve_inner ?loads (topo : Grid.Topology.t) =
         |> List.mapi (fun k (g : N.gen) -> (k, g))
         |> List.find_opt (fun (_, (g : N.gen)) -> g.N.gbus = j)
       with
-      | Some (k, _) -> L.var pg.(k)
-      | None -> L.zero
+      | Some (k, _) -> [ (pg.(k), Q.one) ]
+      | None -> []
     in
-    Lp.add_eq lp
-      (L.add (L.sub inflow outflow) (L.sub gen_term (L.const loads.(j))))
-      Q.zero
+    Certify.add_row lp ~lo:loads.(j) ~hi:loads.(j)
+      (flows Q.one (N.lines_in grid j)
+      @ flows Q.minus_one (N.lines_out grid j)
+      @ gen_term)
   done;
   let objective =
-    L.sum
-      (Array.to_list
-         (Array.mapi
-            (fun k (g : N.gen) ->
-              L.add (L.monomial g.N.beta pg.(k)) (L.const g.N.alpha))
-            grid.N.gens))
+    Array.to_list (Array.mapi (fun k (g : N.gen) -> (pg.(k), g.N.beta)) grid.N.gens)
   in
-  match Lp.minimize lp objective with
-  | Lp.Infeasible -> Infeasible
-  | Lp.Unbounded -> Unbounded
-  | Lp.Optimal { objective = cost; values } ->
+  let constant =
+    Array.fold_left (fun acc (g : N.gen) -> Q.add acc g.N.alpha) Q.zero grid.N.gens
+  in
+  match Certify.solve_exact lp objective ~constant with
+  | Certify.Infeasible -> Infeasible
+  | Certify.Unbounded -> Unbounded
+  | Certify.Optimal { objective = cost; values; certified = _ } ->
     let theta_v = Array.map (fun v -> values.(v)) theta in
     let pg_v = Array.map (fun v -> values.(v)) pg in
     let flows = Grid.Powerflow.flow_of_angles topo theta_v in

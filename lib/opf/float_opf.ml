@@ -50,9 +50,9 @@ let add_flow_limit qp (grid : N.t) pg loads row ~cap =
       hi_flow := Q.add !hi_flow (Q.max a bb))
     gen_terms;
   if Q.( > ) !hi_flow cap then
-    Certify.add_le qp gen_terms (Q.add cap !load_part);
+    Certify.add_row qp ~hi:(Q.add cap !load_part) gen_terms;
   if Q.( < ) !lo_flow (Q.neg cap) then
-    Certify.add_ge qp gen_terms (Q.add (Q.neg cap) !load_part)
+    Certify.add_row qp ~lo:(Q.add (Q.neg cap) !load_part) gen_terms
 
 (* angles and flows from a float power flow at the exact optimum;
    [Rat.of_float] keeps the recovered values exactly as computed rather
@@ -122,9 +122,8 @@ let build ?loads ~extra ~solve (topo : Grid.Topology.t) =
           Certify.set_initial qp pg.(k)
             (Q.div (Q.mul total_load g.N.pmax) cap_total))
         grid.N.gens;
-    Certify.add_eq qp
-      (Array.to_list (Array.map (fun v -> (v, Q.one)) pg))
-      total_load;
+    Certify.add_row qp ~lo:total_load ~hi:total_load
+      (Array.to_list (Array.map (fun v -> (v, Q.one)) pg));
     let limit = add_flow_limit qp grid pg loads in
     Array.iteri
       (fun i (ln : N.line) ->

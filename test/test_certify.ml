@@ -1,10 +1,9 @@
-(* Tests for the certified float LP backend (Lp.Certify): random bounded
+(* Tests for the certified float LP backend (Certify): random bounded
    LPs where the certified optimum must equal the exact simplex optimum,
    adversarial cases (degenerate bases, near-ties below the float solver's
    epsilon, a hand-corrupted certificate that must be rejected into the
    exact fallback), OPF cost agreement between the certified-float and
-   exact backends, and verify-cache interchangeability of certified
-   results with the exact backend. *)
+   exact backends, and verify-cache separation of the two formulations. *)
 
 module Q = Numeric.Rat
 module B = Numeric.Bigint
@@ -81,9 +80,9 @@ let build { n; bounds; rows; obj } =
         Array.to_list (Array.mapi (fun i c -> (vars.(i), Q.of_int c)) coeffs)
       in
       match kind with
-      | 0 -> Certify.add_le t terms rhi
-      | 1 -> Certify.add_ge t terms rlo
-      | _ -> Certify.add_eq t terms rlo)
+      | 0 -> Certify.add_row t ~hi:rhi terms
+      | 1 -> Certify.add_row t ~lo:rlo terms
+      | _ -> Certify.add_row t ~lo:rlo ~hi:rlo terms)
     rows;
   let o = Array.to_list (Array.mapi (fun i c -> (vars.(i), Q.of_int c)) obj) in
   (t, o)
@@ -143,22 +142,22 @@ let adversarial_tests =
         let t = Certify.create () in
         let x = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
         let y = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
-        Certify.add_ge t [ (x, Q.one); (y, Q.one) ] Q.one;
-        Certify.add_ge t [ (x, Q.one); (y, Q.one) ] Q.one;
+        Certify.add_row t ~lo:Q.one [ (x, Q.one); (y, Q.one) ];
+        Certify.add_row t ~lo:Q.one [ (x, Q.one); (y, Q.one) ];
         let o = [ (x, Q.one); (y, Q.one) ] in
         Alcotest.check qc "cost 1" Q.one
           (objective_exn "degenerate" (Certify.minimize t o ~constant:Q.zero)));
     Alcotest.test_case "near-tie below the float epsilon stays exact" `Quick
       (fun () ->
         (* min x + (1 + 1e-12) y over x + y >= 1 in the unit box: the
-           cost gap is far below Flp's pivoting epsilon (1e-9), so the
+           cost gap is far below the float simplex's epsilon (1e-9), so the
            float solver may stop at either vertex; the exact check must
            catch the wrong one and the final answer must be exactly 1 *)
         let eps12 = Q.make B.one (B.pow10 12) in
         let t = Certify.create () in
         let x = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
         let y = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
-        Certify.add_ge t [ (x, Q.one); (y, Q.one) ] Q.one;
+        Certify.add_row t ~lo:Q.one [ (x, Q.one); (y, Q.one) ];
         let o = [ (x, Q.one); (y, Q.add Q.one eps12) ] in
         let certified = objective_exn "near-tie" (Certify.minimize t o ~constant:Q.zero) in
         let exact = objective_exn "near-tie exact" (Certify.solve_exact t o ~constant:Q.zero) in
@@ -170,7 +169,7 @@ let adversarial_tests =
           let t = Certify.create () in
           let x = Certify.add_var ~lo:Q.zero ~hi:(Q.of_int 10) t in
           let y = Certify.add_var ~lo:Q.zero ~hi:(Q.of_int 3) t in
-          Certify.add_le t [ (x, Q.one); (y, Q.one) ] (Q.of_int 5);
+          Certify.add_row t ~hi:(Q.of_int 5) [ (x, Q.one); (y, Q.one) ];
           (t, [ (x, Q.one); (y, Q.of_ints 1 100) ])
         in
         let t1, o1 = mk () in
@@ -181,24 +180,26 @@ let adversarial_tests =
         (* flip the first nonbasic-at-bound status to the other bound:
            the claimed point moves off the optimum, so the exact check
            must reject it *)
-        let mangle (cert : Flp.certificate) =
-          let statuses = Array.copy cert.Flp.statuses in
+        let mangle (cert : Lp.Float.certificate) =
+          let statuses = Array.copy cert.Lp.Float.statuses in
           let flipped = ref false in
           Array.iteri
             (fun i s ->
               if not !flipped then
                 match s with
-                | Flp.At_lower ->
-                  statuses.(i) <- Flp.At_upper;
+                | Lp.Float.At_lower ->
+                  statuses.(i) <- Lp.Float.At_upper;
                   flipped := true
-                | Flp.At_upper ->
-                  statuses.(i) <- Flp.At_lower;
+                | Lp.Float.At_upper ->
+                  statuses.(i) <- Lp.Float.At_lower;
                   flipped := true
-                | Flp.Basic | Flp.Between _ -> ())
+                | Lp.Float.Basic | Lp.Float.Between _ -> ())
             statuses;
-          { Flp.statuses }
+          { Lp.Float.statuses }
         in
         let t2, o2 = mk () in
+        let presolves = Obs.Histogram.make "lp.presolve.rows_eliminated_per_solve" in
+        let presolved = Obs.Histogram.count presolves in
         let (mangled, fail_d), fallback_d =
           counting c_fallback (fun () ->
               counting c_fail (fun () ->
@@ -207,6 +208,9 @@ let adversarial_tests =
         in
         Alcotest.(check int) "certificate rejected" 1 fail_d;
         Alcotest.(check int) "exact fallback ran" 1 fallback_d;
+        (* the fallback re-solves the rows presolve already reduced *)
+        Alcotest.(check int) "one presolve per solve" 1
+          (Obs.Histogram.count presolves - presolved);
         match (clean, mangled) with
         | ( Certify.Optimal { objective = a; certified = ca; _ },
             Certify.Optimal { objective = b; certified = cb; _ } ) ->
@@ -263,7 +267,7 @@ let opf_tests =
       (fun () -> same_lp "57" (TS.ieee 57).Grid.Spec.grid);
   ]
 
-(* ---- verify-cache interchangeability with the exact backend ---- *)
+(* ---- verify-cache separation of the two formulations ---- *)
 
 let cs1_base () =
   let scenario = TS.case_study_1 () in
@@ -279,42 +283,45 @@ let cs1_base () =
 
 let store_tests =
   [
-    Alcotest.test_case "certified results fill exact verify: entries" `Quick
+    Alcotest.test_case "each formulation fills its own verify: entries" `Quick
       (fun () ->
-        let cache =
+        let scenario, base = cs1_base () in
+        let fresh () =
           match Store.Cache.create ~max_bytes:(1 lsl 20) () with
           | Ok c -> c
           | Error e -> Alcotest.fail e
         in
-        let scenario, base = cs1_base () in
-        let run backend =
+        let run cache backend =
           let config = { I.default_config with I.backend; store = Some cache } in
-          match I.analyze ~config ~scenario ~base () with
-          | I.Attack_found s -> s
-          | I.No_attack _ -> Alcotest.fail "expected an attack on cs1"
-          | I.Base_infeasible e -> Alcotest.fail ("base infeasible: " ^ e)
+          I.analyze ~config ~scenario ~base ()
         in
-        (* certified-float run populates the store under the shared
-           "exact" backend tag... *)
-        let entries prefix =
+        let entries cache =
           Store.Cache.fold cache ~init:0 ~f:(fun n ~key ~value:_ ->
-              if String.starts_with ~prefix key then n + 1 else n)
+              if String.starts_with ~prefix:"verify:" key then n + 1 else n)
         in
-        let s1, ok_d = counting c_ok (fun () -> run I.Fast_factors) in
+        (* a certified shift-factor run fills the store first... *)
+        let shared = fresh () in
+        let _, ok_d = counting c_ok (fun () -> run shared I.Fast_factors) in
         Alcotest.(check bool) "certified solves ran" true (ok_d >= 1);
-        let filled = entries "verify:" and bases = entries "base:" in
+        let filled = entries shared in
         Alcotest.(check bool) "store populated" true (filled > 0);
-        (* ...and the exact backend hits every one of those entries: no
-           new verify entry is written, and the cached poisoned cost is
-           reused verbatim.  Only its attack-free OPF is new: the angle
-           formulation never shares the shift-factor base: entry *)
-        let s2 = run I.Lp_exact in
-        Alcotest.(check int) "no new store entries" filled (entries "verify:");
-        Alcotest.(check int) "one new base: entry" (bases + 1) (entries "base:");
-        (match (s1.I.poisoned_cost, s2.I.poisoned_cost) with
-        | Some a, Some b -> Alcotest.check qc "cached poisoned cost reused" a b
-        | _ -> Alcotest.fail "LP backends must report a poisoned cost");
-        Store.Cache.close cache);
+        (* ...and the angle formulation neither reads nor overwrites its
+           entries: it adds its own, and answers as on a fresh store *)
+        let after = run shared I.Lp_exact in
+        Alcotest.(check bool) "angle formulation adds its own entries" true
+          (entries shared > filled);
+        let alone = fresh () in
+        let reference = run alone I.Lp_exact in
+        (match (after, reference) with
+        | I.Attack_found a, I.Attack_found r -> (
+          match (a.I.poisoned_cost, r.I.poisoned_cost) with
+          | Some a, Some r -> Alcotest.check qc "poisoned cost" r a
+          | _ -> Alcotest.fail "the LP backend must report a poisoned cost")
+        | _ -> Alcotest.fail "expected an attack on cs1");
+        Alcotest.(check bool) "same outcome as on a fresh store" true
+          (after = reference);
+        Store.Cache.close shared;
+        Store.Cache.close alone);
   ]
 
 let () =

@@ -1,5 +1,8 @@
-(* Tests for the exact LP solver, including cross-validation against the
-   SMT solver's bounded-cost feasibility queries (the paper's OPF pattern). *)
+(* Tests for the exact LP path — Certify's recorder, exact presolve and
+   the exact simplex (Certify.solve_exact) — including cross-validation
+   against the SMT solver's bounded-cost feasibility queries (the paper's
+   OPF pattern).  A maximum is checked as the negated minimum of the
+   negated objective. *)
 
 module Q = Numeric.Rat
 module L = Smt.Linexp
@@ -10,99 +13,90 @@ let qc = Alcotest.testable Q.pp Q.equal
 let prop ?(count = 100) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
 
+let minimize ?(constant = Q.zero) t obj = Certify.solve_exact t obj ~constant
+
 let opt_exn = function
-  | Lp.Optimal { objective; values } -> (objective, values)
-  | Lp.Infeasible -> Alcotest.fail "unexpected infeasible"
-  | Lp.Unbounded -> Alcotest.fail "unexpected unbounded"
+  | Certify.Optimal { objective; values; _ } -> (objective, values)
+  | Certify.Infeasible -> Alcotest.fail "unexpected infeasible"
+  | Certify.Unbounded -> Alcotest.fail "unexpected unbounded"
+
+let q = Q.of_int
 
 let basic_tests =
   [
     Alcotest.test_case "box minimum" `Quick (fun () ->
         (* min x + 2y, 1<=x<=4, -1<=y<=5 -> x=1, y=-1, obj=-1 *)
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:Q.one ~hi:(Q.of_int 4) t in
-        let y = Lp.add_var ~lo:Q.minus_one ~hi:(Q.of_int 5) t in
-        let obj, values =
-          opt_exn (Lp.minimize t (L.add (L.var x) (L.scale (Q.of_int 2) (L.var y))))
-        in
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:Q.one ~hi:(q 4) t in
+        let y = Certify.add_var ~lo:Q.minus_one ~hi:(q 5) t in
+        let obj, values = opt_exn (minimize t [ (x, Q.one); (y, q 2) ]) in
         Alcotest.check qc "obj" Q.minus_one obj;
         Alcotest.check qc "x" Q.one values.(x);
         Alcotest.check qc "y" Q.minus_one values.(y));
     Alcotest.test_case "classic 2d lp" `Quick (fun () ->
         (* max 3x + 5y s.t. x<=4, 2y<=12, 3x+2y<=18, x,y>=0 -> (2,6), 36 *)
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:Q.zero t in
-        let y = Lp.add_var ~lo:Q.zero t in
-        Lp.add_le t (L.var x) (Q.of_int 4);
-        Lp.add_le t (L.scale (Q.of_int 2) (L.var y)) (Q.of_int 12);
-        Lp.add_le t
-          (L.add (L.scale (Q.of_int 3) (L.var x)) (L.scale (Q.of_int 2) (L.var y)))
-          (Q.of_int 18);
-        let obj, values =
-          opt_exn
-            (Lp.maximize t
-               (L.add (L.scale (Q.of_int 3) (L.var x)) (L.scale (Q.of_int 5) (L.var y))))
-        in
-        Alcotest.check qc "obj" (Q.of_int 36) obj;
-        Alcotest.check qc "x" (Q.of_int 2) values.(x);
-        Alcotest.check qc "y" (Q.of_int 6) values.(y));
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:Q.zero t in
+        let y = Certify.add_var ~lo:Q.zero t in
+        Certify.add_row t ~hi:(q 4) [ (x, Q.one) ];
+        Certify.add_row t ~hi:(q 12) [ (y, q 2) ];
+        Certify.add_row t ~hi:(q 18) [ (x, q 3); (y, q 2) ];
+        let obj, values = opt_exn (minimize t [ (x, q (-3)); (y, q (-5)) ]) in
+        Alcotest.check qc "obj" (q (-36)) obj;
+        Alcotest.check qc "x" (q 2) values.(x);
+        Alcotest.check qc "y" (q 6) values.(y));
     Alcotest.test_case "equality constraint" `Quick (fun () ->
         (* min x+y s.t. x+y=5, x>=2, y>=1 -> 5 *)
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:(Q.of_int 2) t in
-        let y = Lp.add_var ~lo:Q.one t in
-        Lp.add_eq t (L.add (L.var x) (L.var y)) (Q.of_int 5);
-        let obj, _ = opt_exn (Lp.minimize t (L.add (L.var x) (L.var y))) in
-        Alcotest.check qc "obj" (Q.of_int 5) obj);
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:(q 2) t in
+        let y = Certify.add_var ~lo:Q.one t in
+        Certify.add_row t ~lo:(q 5) ~hi:(q 5) [ (x, Q.one); (y, Q.one) ];
+        let obj, _ = opt_exn (minimize t [ (x, Q.one); (y, Q.one) ]) in
+        Alcotest.check qc "obj" (q 5) obj);
     Alcotest.test_case "infeasible" `Quick (fun () ->
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:Q.zero ~hi:Q.one t in
-        Lp.add_ge t (L.var x) (Q.of_int 2);
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
+        Certify.add_row t ~lo:(q 2) [ (x, Q.one) ];
         Alcotest.(check bool) "infeasible" true
-          (Lp.minimize t (L.var x) = Lp.Infeasible));
+          (minimize t [ (x, Q.one) ] = Certify.Infeasible));
     Alcotest.test_case "contradictory bounds on one expression" `Quick
       (fun () ->
-        (* 3x - y <= 0 and 3x - y >= 1 share one row *)
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:Q.zero ~hi:Q.one t in
-        let y = Lp.add_var ~lo:Q.zero ~hi:(Q.of_int 2) t in
-        let e = L.sub (L.scale (Q.of_int 3) (L.var x)) (L.var y) in
-        Lp.add_le t e Q.zero;
-        Lp.add_ge t e Q.one;
-        Alcotest.(check bool) "infeasible" true
-          (Lp.minimize t (L.const Q.zero) = Lp.Infeasible));
+        (* 3x - y <= 0 and 3x - y >= 1 as one row whose bounds cross *)
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
+        let y = Certify.add_var ~lo:Q.zero ~hi:(q 2) t in
+        Certify.add_row t ~lo:Q.one ~hi:Q.zero [ (x, q 3); (y, Q.minus_one) ];
+        Alcotest.(check bool) "infeasible" true (minimize t [] = Certify.Infeasible));
     Alcotest.test_case "unbounded" `Quick (fun () ->
-        let t = Lp.create () in
-        let x = Lp.add_var ~hi:Q.zero t in
+        let t = Certify.create () in
+        let x = Certify.add_var ~hi:Q.zero t in
         Alcotest.(check bool) "unbounded" true
-          (Lp.minimize t (L.var x) = Lp.Unbounded));
+          (minimize t [ (x, Q.one) ] = Certify.Unbounded));
     Alcotest.test_case "free variable with equalities" `Quick (fun () ->
         (* min z s.t. z = x - y, x in [0,1], y in [0,1]  -> -1 *)
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:Q.zero ~hi:Q.one t in
-        let y = Lp.add_var ~lo:Q.zero ~hi:Q.one t in
-        let obj, _ = opt_exn (Lp.minimize t (L.sub (L.var x) (L.var y))) in
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
+        let y = Certify.add_var ~lo:Q.zero ~hi:Q.one t in
+        let obj, _ = opt_exn (minimize t [ (x, Q.one); (y, Q.minus_one) ]) in
         Alcotest.check qc "obj" Q.minus_one obj);
     Alcotest.test_case "objective with constant term" `Quick (fun () ->
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:Q.one ~hi:(Q.of_int 2) t in
-        let obj, _ =
-          opt_exn (Lp.minimize t (L.add (L.var x) (L.const (Q.of_int 100))))
-        in
-        Alcotest.check qc "obj" (Q.of_int 101) obj);
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:Q.one ~hi:(q 2) t in
+        let obj, _ = opt_exn (minimize ~constant:(q 100) t [ (x, Q.one) ]) in
+        Alcotest.check qc "obj" (q 101) obj);
     Alcotest.test_case "degenerate vertices terminate" `Quick (fun () ->
-        (* many redundant constraints through one point *)
-        let t = Lp.create () in
-        let x = Lp.add_var ~lo:Q.zero t in
-        let y = Lp.add_var ~lo:Q.zero t in
-        Lp.add_le t (L.add (L.var x) (L.var y)) Q.one;
-        Lp.add_le t (L.add (L.scale (Q.of_int 2) (L.var x)) (L.scale (Q.of_int 2) (L.var y))) (Q.of_int 2);
-        Lp.add_le t (L.add (L.scale (Q.of_int 3) (L.var x)) (L.scale (Q.of_int 3) (L.var y))) (Q.of_int 3);
-        Lp.add_le t (L.var x) Q.one;
+        (* many redundant constraints through one point; max x + y = 1 *)
+        let t = Certify.create () in
+        let x = Certify.add_var ~lo:Q.zero t in
+        let y = Certify.add_var ~lo:Q.zero t in
+        Certify.add_row t ~hi:Q.one [ (x, Q.one); (y, Q.one) ];
+        Certify.add_row t ~hi:(q 2) [ (x, q 2); (y, q 2) ];
+        Certify.add_row t ~hi:(q 3) [ (x, q 3); (y, q 3) ];
+        Certify.add_row t ~hi:Q.one [ (x, Q.one) ];
         let obj, _ =
-          opt_exn (Lp.maximize t (L.add (L.var x) (L.var y)))
+          opt_exn (minimize t [ (x, Q.minus_one); (y, Q.minus_one) ])
         in
-        Alcotest.check qc "obj" Q.one obj);
+        Alcotest.check qc "obj" Q.minus_one obj);
   ]
 
 (* random transportation-like LPs: min sum c_i x_i, sum x_i = demand,
@@ -130,40 +124,33 @@ let greedy_transport costs caps demand =
   in
   go demand 0 sorted
 
+(* the transportation LP on Certify's recorder, solved exactly *)
+let solve_transport costs caps demand =
+  let t = Certify.create () in
+  let vars =
+    List.map (fun cap -> Certify.add_var ~lo:Q.zero ~hi:(q cap) t) caps
+  in
+  Certify.add_row t ~lo:(q demand) ~hi:(q demand)
+    (List.map (fun v -> (v, Q.one)) vars);
+  (vars, minimize t (List.map2 (fun c v -> (v, q c)) costs vars))
+
 let random_tests =
   [
     prop "matches greedy on transportation LPs" gen_transport
       (fun (costs, caps, demand) ->
-        let t = Lp.create () in
-        let vars =
-          List.map (fun cap -> Lp.add_var ~lo:Q.zero ~hi:(Q.of_int cap) t) caps
-        in
-        Lp.add_eq t (L.sum (List.map L.var vars)) (Q.of_int demand);
-        let obj =
-          L.sum (List.map2 (fun c v -> L.monomial (Q.of_int c) v) costs vars)
-        in
-        match Lp.minimize t obj with
-        | Lp.Optimal { objective; _ } ->
-          Q.equal objective (Q.of_int (greedy_transport costs caps demand))
+        match solve_transport costs caps demand with
+        | _, Certify.Optimal { objective; _ } ->
+          Q.equal objective (q (greedy_transport costs caps demand))
         | _ -> false);
     prop "optimal point is feasible" gen_transport (fun (costs, caps, demand) ->
-        let t = Lp.create () in
-        let vars =
-          List.map (fun cap -> Lp.add_var ~lo:Q.zero ~hi:(Q.of_int cap) t) caps
-        in
-        Lp.add_eq t (L.sum (List.map L.var vars)) (Q.of_int demand);
-        let obj =
-          L.sum (List.map2 (fun c v -> L.monomial (Q.of_int c) v) costs vars)
-        in
-        match Lp.minimize t obj with
-        | Lp.Optimal { values; _ } ->
+        match solve_transport costs caps demand with
+        | vars, Certify.Optimal { values; _ } ->
           List.for_all2
-            (fun v cap ->
-              Q.(values.(v) >= zero) && Q.(values.(v) <= of_int cap))
+            (fun v cap -> Q.(values.(v) >= zero) && Q.(values.(v) <= of_int cap))
             vars caps
           && Q.equal
                (List.fold_left (fun acc v -> Q.add acc values.(v)) Q.zero vars)
-               (Q.of_int demand)
+               (q demand)
         | _ -> false);
   ]
 
@@ -174,16 +161,8 @@ let cross_tests =
   [
     prop ~count:50 "LP optimum is the SMT feasibility boundary" gen_transport
       (fun (costs, caps, demand) ->
-        let t = Lp.create () in
-        let vars =
-          List.map (fun cap -> Lp.add_var ~lo:Q.zero ~hi:(Q.of_int cap) t) caps
-        in
-        Lp.add_eq t (L.sum (List.map L.var vars)) (Q.of_int demand);
-        let obj =
-          L.sum (List.map2 (fun c v -> L.monomial (Q.of_int c) v) costs vars)
-        in
-        match Lp.minimize t obj with
-        | Lp.Optimal { objective; _ } ->
+        match solve_transport costs caps demand with
+        | _, Certify.Optimal { objective; _ } ->
           let mk bound =
             let s = Smt.Solver.create () in
             let svars =

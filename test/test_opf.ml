@@ -70,6 +70,50 @@ let dc_opf_tests =
         Array.iteri
           (fun i f -> Alcotest.check qc (Printf.sprintf "line %d" i) expected.(i) f)
           d.Opf.Dc_opf.flows);
+    Alcotest.test_case "exact optimum stays on its recorded vertex" `Quick
+      (fun () ->
+        (* The angle LP is degenerate, so its optimal dispatch is one
+           vertex among several; the exact simplex's Bland pivots pick
+           it, and [pg] is what base:angle store entries keep.  These
+           values and pivot counts were recorded from the exact engine;
+           a change to the simplex that moves the vertex shows here. *)
+        let pivots = Obs.Counter.make "lp.exact.pivots" in
+        let pinned name grid ~cost ~pg ~n_pivots =
+          let before = Obs.Counter.get pivots in
+          let d = dispatch_exn (Opf.Dc_opf.base_case grid) in
+          let q s = Q.of_decimal_string s in
+          let frac s =
+            match String.split_on_char '/' s with
+            | [ n; den ] -> Q.div (q n) (q den)
+            | _ -> q s
+          in
+          Alcotest.check qc (name ^ " cost") (frac cost) d.Opf.Dc_opf.cost;
+          Alcotest.(check (array qc)) (name ^ " pg") (Array.map frac pg)
+            d.Opf.Dc_opf.pg;
+          Alcotest.(check int) (name ^ " pivots") n_pivots
+            (Obs.Counter.get pivots - before)
+        in
+        pinned "5-bus" (TS.ieee 5).Grid.Spec.grid
+          ~cost:"159689492678584/108287801349"
+          ~pg:
+            [|
+              "77393920729/309393718140";
+              "429329823814/2707195033725";
+              "29242185841/69415257275";
+            |]
+          ~n_pivots:12;
+        pinned "14-bus" (TS.ieee14 ()).Grid.Spec.grid
+          ~cost:
+            "19030665155083983828106875472720441/4517634968740849500864974934335"
+          ~pg:
+            [|
+              "205945303889225017367542529195961/225881748437042475043248746716750";
+              "1/10";
+              "1";
+              "407593386712762488203514472377/1457301602819628871246766107850";
+              "41941018597828433/140472956737928500";
+            |]
+          ~n_pivots:53);
     Alcotest.test_case "infeasible when load exceeds generation" `Quick
       (fun () ->
         let loads = [| Q.zero; Q.one; Q.one; Q.one; Q.one |] in

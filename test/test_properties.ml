@@ -6,7 +6,6 @@ module Q = Numeric.Rat
 module N = Grid.Network
 module T = Grid.Topology
 module TS = Grid.Test_systems
-module L = Smt.Linexp
 
 let prop ?(count = 100) name gen f =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen f)
@@ -122,34 +121,21 @@ let lp_agreement_tests =
   [
     prop ~count:200 "float LP agrees with the exact LP" gen_transport
       (fun (costs, caps, demand) ->
-        let exact =
-          let t = Lp.create () in
-          let vars =
-            List.map (fun c -> Lp.add_var ~lo:Q.zero ~hi:(Q.of_int c) t) caps
-          in
-          Lp.add_eq t (L.sum (List.map L.var vars)) (Q.of_int demand);
-          let obj =
-            L.sum (List.map2 (fun c v -> L.monomial (Q.of_int c) v) costs vars)
-          in
-          match Lp.minimize t obj with
-          | Lp.Optimal { objective; _ } -> Some objective
-          | _ -> None
+        (* one recorded LP, solved on the exact path alone and on the
+           certified float path *)
+        let t = Certify.create () in
+        let vars =
+          List.map (fun c -> Certify.add_var ~lo:Q.zero ~hi:(Q.of_int c) t) caps
         in
-        let certified =
-          let t = Certify.create () in
-          let vars =
-            List.map
-              (fun c -> Certify.add_var ~lo:Q.zero ~hi:(Q.of_int c) t)
-              caps
-          in
-          Certify.add_eq t
-            (List.map (fun v -> (v, Q.one)) vars)
-            (Q.of_int demand);
-          let obj = List.map2 (fun c v -> (v, Q.of_int c)) costs vars in
-          match Certify.minimize t obj ~constant:Q.zero with
+        Certify.add_row t ~lo:(Q.of_int demand) ~hi:(Q.of_int demand)
+          (List.map (fun v -> (v, Q.one)) vars);
+        let obj = List.map2 (fun c v -> (v, Q.of_int c)) costs vars in
+        let objective = function
           | Certify.Optimal { objective; _ } -> Some objective
-          | _ -> None
+          | Certify.Infeasible | Certify.Unbounded -> None
         in
+        let exact = objective (Certify.solve_exact t obj ~constant:Q.zero) in
+        let certified = objective (Certify.minimize t obj ~constant:Q.zero) in
         match (exact, certified) with
         | Some a, Some b -> Q.equal a b
         | None, None -> true
