@@ -134,11 +134,7 @@ let () =
         match Opf.Dc_opf.solve ~loads:est_loads reported_topo with
         | Opf.Dc_opf.Dispatch d ->
           (* the operator applies the new set-points *)
-          let new_dispatch = Array.make grid.N.n_buses Q.zero in
-          Array.iteri
-            (fun k (g : N.gen) -> new_dispatch.(g.N.gbus) <- d.Opf.Dc_opf.pg.(k))
-            grid.N.gens;
-          dispatch := new_dispatch;
+          dispatch := N.bus_generation grid d.Opf.Dc_opf.pg;
           last_opf_loads := est_loads;
           ( Q.to_decimal_string ~digits:2 d.Opf.Dc_opf.cost,
             if step = attack_step then "<- topology poisoning begins"

@@ -15,8 +15,7 @@ let () =
 
   (* 1. base-case operating point: exact DC power flow *)
   let gen = Grid.Test_systems.case_study_base_dispatch () in
-  let load = Array.make grid.N.n_buses Q.zero in
-  Array.iter (fun (l : N.load) -> load.(l.N.lbus) <- l.N.existing) grid.N.loads;
+  let load = N.bus_demand grid in
   let topo = Grid.Topology.make grid in
   let sol =
     match Grid.Powerflow.solve topo ~gen ~load with

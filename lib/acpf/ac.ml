@@ -47,10 +47,7 @@ let of_dc ?(r_ratio = 0.1) ?(q_ratio = 0.25) ~gen (grid : N.t) =
             (fun (ln : N.line) -> ln.N.in_true_topology)
             (Array.to_list grid.N.lines)))
   in
-  let load_p = Array.make b 0.0 in
-  Array.iter
-    (fun (l : N.load) -> load_p.(l.N.lbus) <- Q.to_float l.N.existing)
-    grid.N.loads;
+  let load_p = Array.map Q.to_float (N.bus_demand grid) in
   let buses =
     Array.init b (fun j ->
         let p = Q.to_float gen.(j) -. load_p.(j) in

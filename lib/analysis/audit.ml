@@ -176,18 +176,13 @@ let classify ~grid ~base_dispatch ~islanding_sound ~interval_active ~candidates
     =
   let topo = Grid.Topology.make grid in
   let structure = Structure.analyze topo in
-  let n = grid.N.n_buses in
-  let existing = Array.make n Q.zero in
-  Array.iter
-    (fun (ld : N.load) ->
-      existing.(ld.N.lbus) <- Q.add existing.(ld.N.lbus) ld.N.existing)
-    grid.N.loads;
-  let inj = Array.make n 0.0 in
-  Array.iteri
-    (fun gi (g : N.gen) ->
-      inj.(g.N.gbus) <- inj.(g.N.gbus) +. Q.to_float base_dispatch.(gi))
-    grid.N.gens;
-  Array.iteri (fun j q -> inj.(j) <- inj.(j) -. Q.to_float q) existing;
+  let existing = N.bus_demand grid in
+  let inj =
+    Array.map2
+      (fun g d -> Q.to_float g -. Q.to_float d)
+      (N.bus_generation grid base_dispatch)
+      existing
+  in
   let factors =
     if interval_active then
       match Opf.Factors.make topo with

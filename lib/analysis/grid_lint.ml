@@ -78,6 +78,7 @@ let check (spec : Grid.Spec.t) =
              (Q.to_decimal_string gn.N.pmin)))
     g.N.gens;
   (* loads *)
+  let seen_lbus = Hashtbl.create 8 in
   Array.iteri
     (fun k (ld : N.load) ->
       let ki = k + 1 in
@@ -85,24 +86,34 @@ let check (spec : Grid.Spec.t) =
         emit
           (Diagnostic.error ~code:"bus-range"
              "load %d sits at bus %d, outside 1..%d" ki (ld.N.lbus + 1) b)
-      else if Q.(ld.N.lmin > ld.N.lmax) then
-        emit
-          (Diagnostic.error ~code:"load-bounds"
-             "load %d at bus %d has lmin %s > lmax %s (Eq. 36 interval is \
-              empty: every attack encoding over this bus is vacuously unsat)"
-             ki (ld.N.lbus + 1)
-             (Q.to_decimal_string ld.N.lmin)
-             (Q.to_decimal_string ld.N.lmax))
-      else if Q.(ld.N.existing < ld.N.lmin) || Q.(ld.N.existing > ld.N.lmax)
-      then
-        emit
-          (Diagnostic.warning ~code:"load-outside-range"
-             "load %d at bus %d: existing load %s lies outside its plausible \
-              range [%s, %s]"
-             ki (ld.N.lbus + 1)
-             (Q.to_decimal_string ld.N.existing)
-             (Q.to_decimal_string ld.N.lmin)
-             (Q.to_decimal_string ld.N.lmax)))
+      else begin
+        (match Hashtbl.find_opt seen_lbus ld.N.lbus with
+        | Some first ->
+          emit
+            (Diagnostic.error ~code:"duplicate-load"
+               "load %d duplicates load %d at bus %d; the attack model reads \
+                one load record per bus (Eq. 36)"
+               ki first (ld.N.lbus + 1))
+        | None -> Hashtbl.replace seen_lbus ld.N.lbus ki);
+        if Q.(ld.N.lmin > ld.N.lmax) then
+          emit
+            (Diagnostic.error ~code:"load-bounds"
+               "load %d at bus %d has lmin %s > lmax %s (Eq. 36 interval is \
+                empty: every attack encoding over this bus is vacuously unsat)"
+               ki (ld.N.lbus + 1)
+               (Q.to_decimal_string ld.N.lmin)
+               (Q.to_decimal_string ld.N.lmax))
+        else if Q.(ld.N.existing < ld.N.lmin) || Q.(ld.N.existing > ld.N.lmax)
+        then
+          emit
+            (Diagnostic.warning ~code:"load-outside-range"
+               "load %d at bus %d: existing load %s lies outside its plausible \
+                range [%s, %s]"
+               ki (ld.N.lbus + 1)
+               (Q.to_decimal_string ld.N.existing)
+               (Q.to_decimal_string ld.N.lmin)
+               (Q.to_decimal_string ld.N.lmax))
+      end)
     g.N.loads;
   (* measurement vector shape *)
   if Array.length g.N.meas <> N.n_meas g then

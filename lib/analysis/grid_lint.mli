@@ -6,7 +6,7 @@
 
     Error codes: [bus-range], [self-loop], [nonpositive-admittance],
     [nonpositive-capacity], [gen-bounds], [duplicate-generator],
-    [load-bounds], [meas-count], [islanded-bus], [reference-bus],
+    [duplicate-load], [load-bounds], [meas-count], [islanded-bus], [reference-bus],
     [capacity-shortfall], [forced-overgeneration].
     Warning codes: [duplicate-line], [negative-pmin], [load-outside-range].
     Info codes: [no-attacker-resources]. *)

@@ -20,8 +20,7 @@ let all_line_flows grid theta =
 let of_dispatch ?exact grid ~gen =
   let b = grid.N.n_buses in
   let exact = match exact with Some e -> e | None -> b <= 30 in
-  let load = Array.make b Q.zero in
-  Array.iter (fun (l : N.load) -> load.(l.N.lbus) <- l.N.existing) grid.N.loads;
+  let load = N.bus_demand grid in
   let topo = Grid.Topology.make grid in
   if exact then
     match Grid.Powerflow.solve topo ~gen ~load with
@@ -47,10 +46,7 @@ let of_dispatch ?exact grid ~gen =
       Ok { grid; topo; gen; load; theta; flows = all_line_flows grid theta }
   end
 
-let of_generators grid ~pg =
-  let gen = Array.make grid.N.n_buses Q.zero in
-  Array.iteri (fun k (g : N.gen) -> gen.(g.N.gbus) <- pg.(k)) grid.N.gens;
-  of_dispatch grid ~gen
+let of_generators grid ~pg = of_dispatch grid ~gen:(N.bus_generation grid pg)
 
 let of_opf grid =
   (* the exact angle-formulation LP is only tractable on small systems;
@@ -68,9 +64,6 @@ let proportional grid =
   if Q.is_zero cap then Error "no generation capacity"
   else begin
     let share = Q.div total cap in
-    let gen = Array.make grid.N.n_buses Q.zero in
-    Array.iter
-      (fun (g : N.gen) -> gen.(g.N.gbus) <- Q.mul g.N.pmax share)
-      grid.N.gens;
-    of_dispatch grid ~gen
+    of_generators grid
+      ~pg:(Array.map (fun (g : N.gen) -> Q.mul g.N.pmax share) grid.N.gens)
   end

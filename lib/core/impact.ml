@@ -200,8 +200,7 @@ type base_opf = [ `Optimal of Q.t * Q.t array | `Infeasible | `Unbounded ]
 
 let base_store_key form grid =
   let tag = formulation_tag form in
-  let loads = Array.make grid.N.n_buses Q.zero in
-  Array.iter (fun (l : N.load) -> loads.(l.N.lbus) <- l.N.existing) grid.N.loads;
+  let loads = N.bus_demand grid in
   String.concat ":"
     [
       "base";

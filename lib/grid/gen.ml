@@ -53,22 +53,18 @@ end
 let calibrate_capacities grid =
   (* proportional dispatch to cover the total load, then caps ~= 1.25x the
      base flows with a few deliberately tight lines for congestion *)
-  let b = grid.Network.n_buses in
   let total = Network.total_load grid in
   let cap_sum =
     Array.fold_left (fun acc (g : Network.gen) -> Q.add acc g.Network.pmax)
       Q.zero grid.Network.gens
   in
   let share = Q.div total cap_sum in
-  let gen = Array.make b Q.zero in
-  Array.iter
-    (fun (g : Network.gen) ->
-      gen.(g.Network.gbus) <- Q.mul g.Network.pmax share)
-    grid.Network.gens;
-  let load = Array.make b Q.zero in
-  Array.iter
-    (fun (l : Network.load) -> load.(l.Network.lbus) <- l.Network.existing)
-    grid.Network.loads;
+  let gen =
+    Network.bus_generation grid
+      (Array.map (fun (g : Network.gen) -> Q.mul g.Network.pmax share)
+         grid.Network.gens)
+  in
+  let load = Network.bus_demand grid in
   let topo = Topology.make grid in
   let gen_f = Array.map Q.to_float gen and load_f = Array.map Q.to_float load in
   match Powerflow.solve_float topo ~gen:gen_f ~load:load_f with

@@ -44,17 +44,23 @@ let validate g =
       if not (bus_ok gn.gbus) then err "gen %d: bus out of range" k;
       if Q.(gn.pmin > gn.pmax) then err "gen %d: pmin > pmax" k)
     g.gens;
-  let gen_buses = Array.map (fun (gn : gen) -> gn.gbus) g.gens in
-  let sorted = Array.copy gen_buses in
-  Array.sort compare sorted;
-  for k = 1 to Array.length sorted - 1 do
-    if sorted.(k) = sorted.(k - 1) then err "bus %d: multiple generators" sorted.(k)
-  done;
+  (* one generator and one load record per bus; buses are named 1-based,
+     as in the file *)
+  let one_per_bus what buses =
+    let sorted = Array.copy buses in
+    Array.sort compare sorted;
+    for k = 1 to Array.length sorted - 1 do
+      if sorted.(k) = sorted.(k - 1) then
+        err "bus %d: multiple %s" (sorted.(k) + 1) what
+    done
+  in
+  one_per_bus "generators" (Array.map (fun (gn : gen) -> gn.gbus) g.gens);
   Array.iteri
     (fun k (ld : load) ->
       if not (bus_ok ld.lbus) then err "load %d: bus out of range" k;
       if Q.(ld.lmin > ld.lmax) then err "load %d: lmin > lmax" k)
     g.loads;
+  one_per_bus "loads" (Array.map (fun (ld : load) -> ld.lbus) g.loads);
   if Array.length g.meas <> n_meas g then
     err "measurement array has %d entries, expected %d" (Array.length g.meas)
       (n_meas g);
@@ -88,6 +94,16 @@ let meas_bus g m =
 
 let total_load g =
   Array.fold_left (fun acc (ld : load) -> Q.add acc ld.existing) Q.zero g.loads
+
+let bus_demand g =
+  let v = Array.make g.n_buses Q.zero in
+  Array.iter (fun (ld : load) -> v.(ld.lbus) <- Q.add v.(ld.lbus) ld.existing) g.loads;
+  v
+
+let bus_generation g pg =
+  let v = Array.make g.n_buses Q.zero in
+  Array.iteri (fun k (gn : gen) -> v.(gn.gbus) <- Q.add v.(gn.gbus) pg.(k)) g.gens;
+  v
 
 let true_topology g = Array.map (fun (ln : line) -> ln.in_true_topology) g.lines
 

@@ -57,7 +57,8 @@ val n_meas : t -> int
 
 val validate : t -> (unit, string) Result.t
 (** Structural sanity: bus indices in range, measurement count, positive
-    admittances, load bounds ordered, at most one generator per bus. *)
+    admittances, load bounds ordered, at most one generator and one load
+    row per bus. *)
 
 val lines_in : t -> int -> int list
 (** Indices of lines whose to-bus is the given bus. *)
@@ -76,6 +77,13 @@ val meas_bus : t -> int -> int
 (** The bus where a measurement resides (Eq. 21). *)
 
 val total_load : t -> Numeric.Rat.t
+
+val bus_demand : t -> Numeric.Rat.t array
+(** Existing load per bus, summing the load rows at each bus. *)
+
+val bus_generation : t -> Numeric.Rat.t array -> Numeric.Rat.t array
+(** Generation per bus of a per-generator dispatch (indexed like
+    [gens]), summing the generators at each bus. *)
 
 val true_topology : t -> bool array
 (** [u_i] per line. *)

@@ -65,9 +65,8 @@ let solve (t : Topology.t) ~gen ~load =
     Error
       (Format.asprintf "generation/load imbalance: %a" Q.pp imbalance)
   else begin
-    (* reduced susceptance system, assembled and factored sparsely; the
-       exact-rational sparse LU keeps the solution bit-identical to the
-       dense [Qmat] path it replaced *)
+    (* reduced susceptance system, assembled and factored sparsely by the
+       exact-rational sparse LU *)
     let slack = t.Topology.slack in
     let idx = Array.of_list (List.filter (fun j -> j <> slack) (List.init b Fun.id)) in
     let n = b - 1 in

@@ -1,7 +1,6 @@
 (* Sparse linear algebra: CSR storage plus a sparse LU factorization with
-   Markowitz-style pivot ordering, instantiated over floats ({!F}) and
-   exact rationals ({!Q}) — the sparse counterparts of {!Lu} and
-   {!Qmat}.
+   Markowitz-style pivot ordering, instantiated over floats ({!F}, the
+   sparse counterpart of {!Lu}) and exact rationals ({!Q}).
 
    Power-grid susceptance matrices have a handful of nonzeros per row at
    any system size, so a fill-reducing factorization keeps both the

@@ -1,9 +1,10 @@
 (** Sparse linear algebra: CSR/CSC storage and a sparse LU factorization
     with Markowitz-style (fill-reducing) pivot ordering.
 
-    Two instances mirror the dense {!Lu}/{!Qmat} split: {!F} over floats
-    (threshold partial pivoting within the sparsest column) and {!Q}
-    over exact rationals (any nonzero pivot, pure Markowitz ordering).
+    Two instances: {!F} over floats (threshold partial pivoting within
+    the sparsest column), the sparse counterpart of the dense {!Lu}, and
+    {!Q} over exact rationals (any nonzero pivot, pure Markowitz
+    ordering).
     Both report fill-in to the [linalg.lu.fill_in] observability counter
     — see [docs/linalg.md] for the layout, the ordering heuristic, and
     when sparse beats dense. *)

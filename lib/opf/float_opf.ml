@@ -60,10 +60,7 @@ let add_flow_limit qp (grid : N.t) pg loads row ~cap =
 let recover (topo : Grid.Topology.t) loads ~cost ~pg =
   let grid = topo.Grid.Topology.grid in
   let b = grid.N.n_buses in
-  let gen_bus = Array.make b 0.0 in
-  Array.iteri
-    (fun k (g : N.gen) -> gen_bus.(g.N.gbus) <- Q.to_float pg.(k))
-    grid.N.gens;
+  let gen_bus = Array.map Q.to_float (N.bus_generation grid pg) in
   let loads_f = Array.map Q.to_float loads in
   let q_exact f = if Float.is_finite f then Q.of_float f else Q.zero in
   match Grid.Powerflow.solve_float topo ~gen:gen_bus ~load:loads_f with
@@ -90,16 +87,7 @@ let recover (topo : Grid.Topology.t) loads ~cost ~pg =
    [solve] (certified or exact-only). *)
 let build ?loads ~extra ~solve (topo : Grid.Topology.t) =
   let grid = topo.Grid.Topology.grid in
-  let loads =
-    match loads with
-    | Some v -> v
-    | None ->
-      let v = Array.make grid.N.n_buses Q.zero in
-      Array.iter
-        (fun (l : N.load) -> v.(l.N.lbus) <- l.N.existing)
-        grid.N.loads;
-      v
-  in
+  let loads = match loads with Some v -> v | None -> N.bus_demand grid in
   match Factors.make topo with
   | exception Failure _ -> Dc_opf.Infeasible
   | factors ->
@@ -133,14 +121,7 @@ let build ?loads ~extra ~solve (topo : Grid.Topology.t) =
           limit (Factors.ptdf_row factors ~line:i) ~cap:ln.N.capacity)
       grid.N.lines;
     extra factors limit;
-    let obj =
-      Array.to_list
-        (Array.mapi (fun k (g : N.gen) -> (pg.(k), g.N.beta)) grid.N.gens)
-    in
-    let constant =
-      Array.fold_left (fun acc (g : N.gen) -> Q.add acc g.N.alpha) Q.zero
-        grid.N.gens
-    in
+    let obj, constant = Dc_opf.generation_cost grid pg in
     (match solve qp obj ~constant with
     | Certify.Infeasible -> Dc_opf.Infeasible
     | Certify.Unbounded -> Dc_opf.Unbounded

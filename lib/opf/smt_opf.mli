@@ -3,22 +3,9 @@
     [budget]?".  Impact verification (Eq. 37) asks this with
     [budget = T* . I / 100] and succeeds when the answer is unsat.
 
-    [encode] exposes the constraint set so the combined attack+OPF model
-    of Section III-A can embed it in a larger formula. *)
-
-type encoded = {
-  pg_vars : int array;  (** solver real vars, per generator *)
-  theta_vars : int array;  (** per bus *)
-  cost_var : int;  (** named total-cost variable *)
-}
-
-val encode :
-  Smt.Solver.t ->
-  ?loads:Numeric.Rat.t array ->
-  Grid.Topology.t ->
-  encoded
-(** Assert Eqs. 30-34 and generator bounds for the given (possibly
-    poisoned) topology and loads; no cost bound is asserted. *)
+    The constraints are the rows of {!Dc_opf.statement}, asserted as they
+    are; this module adds only the paper's Eq. 30 total (generation equals
+    load) and a named cost variable to bound. *)
 
 val feasible :
   ?loads:Numeric.Rat.t array ->

@@ -41,6 +41,51 @@ let network_tests =
           { five with N.lines = [| { (five.N.lines.(0)) with N.to_bus = 99 } |] }
         in
         Alcotest.(check bool) "error" true (Result.is_error (N.validate bad)));
+    Alcotest.test_case "a second generator or load row at a bus is rejected"
+      `Quick (fun () ->
+        (* both messages name the bus 1-based, as the file does *)
+        let stacked =
+          {
+            five with
+            N.gens =
+              Array.mapi
+                (fun k (g : N.gen) -> if k = 1 then { g with N.gbus = 0 } else g)
+                five.N.gens;
+          }
+        in
+        Alcotest.(check (result unit string)) "generators"
+          (Error "bus 1: multiple generators") (N.validate stacked);
+        let split =
+          { five with N.loads = Array.append five.N.loads [| five.N.loads.(0) |] }
+        in
+        Alcotest.(check (result unit string)) "loads"
+          (Error "bus 2: multiple loads") (N.validate split));
+    Alcotest.test_case "per-bus demand and generation sum the rows at a bus"
+      `Quick (fun () ->
+        let q = Q.of_ints in
+        let split =
+          {
+            five with
+            N.loads =
+              Array.append five.N.loads
+                [| { (five.N.loads.(0)) with N.existing = q 1 10 } |];
+          }
+        in
+        Alcotest.(check (array qc)) "demand"
+          [| Q.zero; q 31 100; q 24 100; q 18 100; q 20 100 |]
+          (N.bus_demand split);
+        let stacked =
+          {
+            five with
+            N.gens =
+              Array.mapi
+                (fun k (g : N.gen) -> if k = 1 then { g with N.gbus = 0 } else g)
+                five.N.gens;
+          }
+        in
+        Alcotest.(check (array qc)) "generation"
+          [| q 3 10; Q.zero; q 3 10; Q.zero; Q.zero |]
+          (N.bus_generation stacked [| q 1 10; q 2 10; q 3 10 |]));
   ]
 
 let topo_tests =
@@ -267,6 +312,25 @@ let systems_tests =
   ]
 
 (* the files shipped in data/ must stay in sync with the builders *)
+(* data/5.grid with bus 2's load of 0.21 split into rows of 0.11 and
+   0.10: the same total, which parse and lint used to accept *)
+let split_load_5 dir =
+  let text =
+    In_channel.with_open_bin (Filename.concat dir "5.grid") In_channel.input_all
+  in
+  let row = "\n2 0.2100 0.3000 0.1000\n" in
+  let n = String.length row in
+  let rec find i =
+    if i + n > String.length text then
+      Alcotest.fail "5.grid has no 0.21 load row at bus 2"
+    else if String.sub text i n = row then i
+    else find (i + 1)
+  in
+  let i = find 0 in
+  String.sub text 0 i
+  ^ "\n2 0.1100 0.3000 0.1000\n2 0.1000 0.3000 0.1000\n"
+  ^ String.sub text (i + n) (String.length text - i - n)
+
 let data_tests =
   let data_dir =
     (* tests run from the build sandbox; resolve the repo-root data dir *)
@@ -310,6 +374,20 @@ let data_tests =
                 | Error e -> Alcotest.fail (name ^ ": " ^ e)))
             [ "cs1.grid"; "cs2.grid"; "5.grid"; "14.grid"; "30.grid";
               "57.grid"; "118.grid" ]);
+      Alcotest.test_case "a load split over two rows fails to parse" `Quick
+        (fun () ->
+          match Grid.Spec.parse (split_load_5 dir) with
+          | Ok _ -> Alcotest.fail "the split-load file parsed"
+          | Error e ->
+            Alcotest.(check string) "message" "bus 2: multiple loads" e);
+      Alcotest.test_case "a load split over two rows lints duplicate-load"
+        `Quick (fun () ->
+          match Grid.Spec.parse ~validate:false (split_load_5 dir) with
+          | Error e -> Alcotest.fail e
+          | Ok spec ->
+            let ds = Analysis.Grid_lint.check spec in
+            Alcotest.(check bool) "duplicate-load" true
+              (Analysis.Diagnostic.by_code "duplicate-load" ds <> []));
     ]
 
 (* ---- synthetic generator (Gen.make): the scaling substrate ---- *)

@@ -1,4 +1,5 @@
-(* Tests for the dense linear algebra substrate. *)
+(* Tests for the linear algebra substrate: dense float, sparse and exact
+   rational solves. *)
 
 module V = Linalg.Vec
 module M = Linalg.Mat
@@ -111,18 +112,24 @@ let lu_tests =
         Float.abs (d2 -. (d *. d)) < (1e-6 *. Float.max 1.0 (Float.abs (d *. d))));
   ]
 
-(* ---- exact rational LU (Qmat) ---- *)
+(* ---- exact rational systems ---- *)
 
 module Q = Numeric.Rat
-module Qmat = Linalg.Qmat
 
-let qvec_testable =
-  Alcotest.testable
-    (Format.pp_print_list Q.pp)
-    (fun a b -> List.for_all2 Q.equal a b)
+(* dense rational matrices as arrays of rows *)
+let qmul_vec m x =
+  Array.map
+    (fun row ->
+      let acc = ref Q.zero in
+      Array.iteri (fun j a -> acc := Q.add !acc (Q.mul a x.(j))) row;
+      !acc)
+    m
 
-let check_qvec msg expected got =
-  Alcotest.check qvec_testable msg (Array.to_list expected) (Array.to_list got)
+let qtranspose m =
+  Array.init (Array.length m.(0)) (fun i -> Array.map (fun row -> row.(i)) m)
+
+(* [m x = b] holds exactly *)
+let solves m x b = Array.for_all2 Q.equal (qmul_vec m x) b
 
 (* random nonsingular rational matrix: unit lower times unit upper with a
    random nonzero diagonal, so nonsingularity holds by construction *)
@@ -134,68 +141,22 @@ let gen_qsystem =
     let* u = array_size (return (n * n)) entry in
     let* d = array_size (return n) (int_range 1 9) in
     let* b = array_size (return n) entry in
-    let lm =
-      Qmat.init n n (fun i j ->
-          if i = j then Q.one else if i > j then l.((i * n) + j) else Q.zero)
+    let lm i j =
+      if i = j then Q.one else if i > j then l.((i * n) + j) else Q.zero
     in
-    let um =
-      Qmat.init n n (fun i j ->
-          if i = j then Q.of_int d.(i)
-          else if i < j then u.((i * n) + j)
-          else Q.zero)
+    let um i j =
+      if i = j then Q.of_int d.(i) else if i < j then u.((i * n) + j) else Q.zero
     in
     let prod =
-      Qmat.init n n (fun i j ->
-          let acc = ref Q.zero in
-          for k = 0 to n - 1 do
-            acc := Q.add !acc (Q.mul (Qmat.get lm i k) (Qmat.get um k j))
-          done;
-          !acc)
+      Array.init n (fun i ->
+          Array.init n (fun j ->
+              let acc = ref Q.zero in
+              for k = 0 to n - 1 do
+                acc := Q.add !acc (Q.mul (lm i k) (um k j))
+              done;
+              !acc))
     in
     return (prod, b))
-
-let qmat_transpose m =
-  Qmat.init (Qmat.cols m) (Qmat.rows m) (fun i j -> Qmat.get m j i)
-
-let qlu_tests =
-  [
-    Alcotest.test_case "exact solve known 2x2" `Quick (fun () ->
-        let a =
-          Qmat.init 2 2 (fun i j ->
-              Q.of_int [| [| 2; 1 |]; [| 1; 3 |] |].(i).(j))
-        in
-        let lu = Qmat.lu_factor a in
-        check_qvec "solution"
-          [| Q.one; Q.of_int 3 |]
-          (Qmat.lu_solve lu [| Q.of_int 5; Q.of_int 10 |]));
-    Alcotest.test_case "pivoting required" `Quick (fun () ->
-        let a =
-          Qmat.init 2 2 (fun i j -> if i = j then Q.zero else Q.one)
-        in
-        let lu = Qmat.lu_factor a in
-        check_qvec "swap solve"
-          [| Q.of_int 3; Q.of_int 2 |]
-          (Qmat.lu_solve lu [| Q.of_int 2; Q.of_int 3 |]));
-    Alcotest.test_case "singular raises" `Quick (fun () ->
-        let a =
-          Qmat.init 2 2 (fun i j ->
-              Q.of_int [| [| 1; 2 |]; [| 2; 4 |] |].(i).(j))
-        in
-        Alcotest.check_raises "raise" Qmat.Singular (fun () ->
-            ignore (Qmat.lu_factor a)));
-    prop "lu_solve reproduces the rhs exactly" gen_qsystem (fun (m, b) ->
-        let x = Qmat.lu_solve (Qmat.lu_factor m) b in
-        Array.for_all2 Q.equal (Qmat.mul_vec m x) b);
-    prop "lu_solve agrees with Qmat.solve" gen_qsystem (fun (m, b) ->
-        let x1 = Qmat.lu_solve (Qmat.lu_factor m) b in
-        let x2 = Qmat.solve m b in
-        Array.for_all2 Q.equal x1 x2);
-    prop "transpose solve matches solving the transposed matrix"
-      gen_qsystem (fun (m, c) ->
-        let y1 = Qmat.lu_solve_transpose (Qmat.lu_factor m) c in
-        let y2 = Qmat.solve (qmat_transpose m) c in
-        Array.for_all2 Q.equal y1 y2);
-  ]
 
 (* ---- sparse CSR/CSC LU vs the dense backends ---- *)
 
@@ -212,15 +173,16 @@ let triplets_of_mat m =
   done;
   !acc
 
-let qtriplets_of_qmat m =
+let qsparse m =
   let acc = ref [] in
-  for i = Qmat.rows m - 1 downto 0 do
-    for j = Qmat.cols m - 1 downto 0 do
-      let v = Qmat.get m i j in
+  for i = Array.length m - 1 downto 0 do
+    for j = Array.length m.(i) - 1 downto 0 do
+      let v = m.(i).(j) in
       if not (Q.is_zero v) then acc := (i, j, v) :: !acc
     done
   done;
-  !acc
+  let n = Array.length m in
+  Sq.of_triplets ~rows:n ~cols:n !acc
 
 (* random sparse diagonally-dominant system: ~30% off-diagonal density,
    dominance restores nonsingularity whatever the pattern *)
@@ -274,31 +236,19 @@ let sparse_tests =
       (fun (m, _) ->
         let s = Sf.of_triplets ~rows:(M.rows m) ~cols:(M.cols m) (triplets_of_mat m) in
         Sf.fill_in (Sf.lu_factor s) >= 0);
-    prop "Q: solve equals Qmat.solve exactly" gen_qsystem (fun (m, b) ->
-        let s =
-          Sq.of_triplets ~rows:(Qmat.rows m) ~cols:(Qmat.cols m)
-            (qtriplets_of_qmat m)
-        in
-        let xs = Sq.solve (Sq.lu_factor s) b in
-        Array.for_all2 Q.equal xs (Qmat.solve m b));
+    prop "Q: solve satisfies A x = b exactly" gen_qsystem (fun (m, b) ->
+        solves m (Sq.solve (Sq.lu_factor (qsparse m)) b) b);
     prop "Q: solve_transpose equals the dense transposed solve exactly"
       gen_qsystem (fun (m, c) ->
-        let s =
-          Sq.of_triplets ~rows:(Qmat.rows m) ~cols:(Qmat.cols m)
-            (qtriplets_of_qmat m)
-        in
-        let ys = Sq.solve_transpose (Sq.lu_factor s) c in
-        Array.for_all2 Q.equal ys (Qmat.solve (qmat_transpose m) c));
+        let ys = Sq.solve_transpose (Sq.lu_factor (qsparse m)) c in
+        solves (qtranspose m) ys c
+        && Array.for_all2 Q.equal ys (Linalg.Bareiss.solve (qtranspose m) c));
   ]
 
-(* ---- fraction-free Bareiss solve vs the exact dense LU ---- *)
+(* ---- fraction-free Bareiss solve ---- *)
 
 module Bareiss = Linalg.Bareiss
 module B = Numeric.Bigint
-
-let qrows m =
-  Array.init (Qmat.rows m) (fun i ->
-      Array.init (Qmat.cols m) (fun j -> Qmat.get m i j))
 
 let bareiss_tests =
   [
@@ -311,21 +261,18 @@ let bareiss_tests =
     Alcotest.test_case "empty system" `Quick (fun () ->
         Alcotest.(check int) "no solution entries" 0
           (Array.length (Bareiss.solve [||] [||])));
-    prop "solve equals Qmat.solve exactly" gen_qsystem (fun (m, b) ->
-        let x = Bareiss.solve (qrows m) b in
-        Array.for_all2 Q.equal x (Qmat.solve m b));
+    prop "solve satisfies A x = b exactly" gen_qsystem (fun (m, b) ->
+        solves m (Bareiss.solve m b) b);
     prop "solve_transpose equals the dense transposed solve exactly"
       gen_qsystem (fun (m, c) ->
-        let y = Bareiss.solve_transpose (qrows m) c in
-        Array.for_all2 Q.equal y (Qmat.solve (qmat_transpose m) c));
+        let y = Bareiss.solve_transpose m c in
+        solves (qtranspose m) y c
+        && Array.for_all2 Q.equal y (Bareiss.solve (qtranspose m) c));
     prop "solve_raw numerators over the shared denominator are the solution"
       gen_qsystem (fun (m, b) ->
-        let num, den = Bareiss.solve_raw (qrows m) b in
+        let num, den = Bareiss.solve_raw m b in
         (not (B.is_zero den))
-        && Array.for_all2
-             (fun n x -> Q.equal (Q.make n den) x)
-             num
-             (Qmat.solve m b));
+        && solves m (Array.map (fun n -> Q.make n den) num) b);
   ]
 
 let () =
@@ -334,7 +281,6 @@ let () =
       ("vec", vec_tests);
       ("mat", mat_tests);
       ("lu", lu_tests);
-      ("qlu", qlu_tests);
       ("sparse", sparse_tests);
       ("bareiss", bareiss_tests);
     ]

@@ -114,6 +114,38 @@ let dc_opf_tests =
               "41941018597828433/140472956737928500";
             |]
           ~n_pivots:53);
+    Alcotest.test_case "a second generator on a bus enters its balance row"
+      `Quick (fun () ->
+        (* relaxed caps, generator 2 moved onto generator 1's bus: the
+           merit-order optimum of 1404 stands, serving exactly 0.83 *)
+        let relaxed = relax_caps five in
+        let grid =
+          {
+            relaxed with
+            N.gens =
+              Array.mapi
+                (fun k (g : N.gen) ->
+                  if k = 1 then { g with N.gbus = relaxed.N.gens.(0).N.gbus }
+                  else g)
+                relaxed.N.gens;
+          }
+        in
+        let topo = T.make grid in
+        List.iter
+          (fun (name, solve) ->
+            let d = dispatch_exn (solve topo) in
+            Alcotest.check qc (name ^ " cost") (Q.of_int 1404) d.Opf.Dc_opf.cost;
+            Alcotest.check qc (name ^ " dispatched") (N.total_load grid)
+              (Array.fold_left Q.add Q.zero d.Opf.Dc_opf.pg))
+          [
+            ("Dc_opf", fun t -> Opf.Dc_opf.solve t);
+            ("Float_opf", fun t -> Opf.Float_opf.solve t);
+          ];
+        match Opf.Smt_opf.minimum_cost topo with
+        | None -> Alcotest.fail "Smt_opf: infeasible"
+        | Some c ->
+          Alcotest.(check bool) "Smt_opf within 1/100 of 1404" true
+            Q.(abs (sub c (of_int 1404)) <= of_ints 1 100));
     Alcotest.test_case "infeasible when load exceeds generation" `Quick
       (fun () ->
         let loads = [| Q.zero; Q.one; Q.one; Q.one; Q.one |] in
@@ -179,6 +211,31 @@ let smt_opf_tests =
           (* then no budget can be satisfied either *)
           Opf.Smt_opf.feasible ~loads topo ~budget:(Q.of_int 100000) = `Unsat
         | Opf.Dc_opf.Unbounded -> false);
+    QCheck_alcotest.to_alcotest ~speed_level:`Quick
+      ~rand:(Random.State.make [| 2014 |])
+      (QCheck2.Test.make ~count:5
+         ~name:"LP and SMT agree on generated grids and their line exclusions"
+         QCheck2.Gen.(pair (int_range 5 14) (int_range 1 10_000))
+         (fun (buses, seed) ->
+           (* the base case and every single-line exclusion: the SMT model
+              is sat at the LP optimum and unsat a cent below it, and
+              infeasible exactly where the LP is *)
+           let grid = (Grid.Gen.make ~seed buses).Grid.Spec.grid in
+           List.for_all
+             (fun excluded ->
+               let mapped = N.true_topology grid in
+               Option.iter (fun i -> mapped.(i) <- false) excluded;
+               let topo = T.make ~mapped grid in
+               match Opf.Dc_opf.solve topo with
+               | Opf.Dc_opf.Dispatch d ->
+                 let c = d.Opf.Dc_opf.cost in
+                 Opf.Smt_opf.feasible topo ~budget:c = `Sat
+                 && Opf.Smt_opf.feasible topo
+                      ~budget:(Q.sub c (Q.of_ints 1 100))
+                    = `Unsat
+               | Opf.Dc_opf.Infeasible -> Opf.Smt_opf.minimum_cost topo = None
+               | Opf.Dc_opf.Unbounded -> false)
+             (None :: List.init (N.n_lines grid) Option.some)));
   ]
 
 (* random balanced injection vector over the 5-bus system *)

@@ -2,11 +2,13 @@
 
    For a range of deterministic synthetic systems (Grid.Gen), inject one
    defect per class — islanding cut, admittance sign flip, duplicate
-   line, generator/load bound inversion, measurement-count skew — and
-   assert that Analysis.Grid_lint (a) never raises on any mutant and
-   (b) reports the code the defect class is defined by.  Clean generated
-   grids must lint with zero errors.  Exits nonzero on the first
-   violation; wired into CI as the @fuzz-smoke alias. *)
+   line, generator/load bound inversion, measurement-count skew, a load
+   split over two rows at its bus, a generator moved onto another's bus —
+   and assert that Analysis.Grid_lint (a) never raises on any mutant and
+   (b) reports the code the defect class is defined by.  The last two
+   classes, printed with Grid.Spec.print, must also fail Grid.Spec.parse.
+   Clean generated grids must lint with zero errors.  Exits nonzero on
+   the first violation; wired into CI as the @fuzz-smoke alias. *)
 
 module Q = Numeric.Rat
 module N = Grid.Network
@@ -33,6 +35,13 @@ let expect_code ~what ~code spec =
   if not (List.mem code codes) then
     fail "%s: expected code %S, got {%s}" what code
       (String.concat ", " (List.sort_uniq String.compare codes))
+
+(* the printed mutant must not parse: Network.validate rejects it too *)
+let expect_rejected ~what spec =
+  incr checks;
+  match Grid.Spec.parse (Grid.Spec.print spec) with
+  | Error _ -> ()
+  | Ok _ -> fail "%s: the printed mutant parses" what
 
 let with_lines spec f =
   let g = spec.Grid.Spec.grid in
@@ -87,20 +96,54 @@ let mutate_load_bounds rng spec =
   loads.(k) <- { loads.(k) with N.lmin = Q.add loads.(k).N.lmax Q.one };
   { spec with Grid.Spec.grid = { g with N.loads } }
 
+(* same total, in two rows of whole hundredths so the mutant prints and
+   re-parses exactly *)
+let mutate_split_load rng spec =
+  let g = spec.Grid.Spec.grid in
+  let n = Array.length g.N.loads in
+  let k = Rng.int rng n in
+  let ld = g.N.loads.(k) in
+  let part = Q.round_to_digits 2 (Q.div ld.N.existing (Q.of_int 2)) in
+  let loads =
+    Array.concat
+      [
+        Array.sub g.N.loads 0 k;
+        [|
+          { ld with N.existing = part };
+          { ld with N.existing = Q.sub ld.N.existing part };
+        |];
+        Array.sub g.N.loads (k + 1) (n - k - 1);
+      ]
+  in
+  { spec with Grid.Spec.grid = { g with N.loads } }
+
+let mutate_stacked_gen rng spec =
+  let g = spec.Grid.Spec.grid in
+  let n = Array.length g.N.gens in
+  let k = Rng.int rng n in
+  let onto = (k + 1 + Rng.int rng (n - 1)) mod n in
+  let gens = Array.copy g.N.gens in
+  gens.(k) <- { gens.(k) with N.gbus = gens.(onto).N.gbus };
+  { spec with Grid.Spec.grid = { g with N.gens } }
+
 let mutate_meas_skew rng spec =
   let g = spec.Grid.Spec.grid in
   let m = Array.length g.N.meas in
   let drop = 1 + Rng.int rng (min 3 (m - 1)) in
   { spec with Grid.Spec.grid = { g with N.meas = Array.sub g.N.meas 0 (m - drop) } }
 
+(* name, mutation, defining lint code, whether the printed mutant must
+   fail to parse *)
 let classes =
   [
-    ("islanding-cut", mutate_islanding_cut, "islanded-bus");
-    ("sign-flip", mutate_sign_flip, "nonpositive-admittance");
-    ("duplicate-row", mutate_duplicate_row, "duplicate-line");
-    ("gen-bound-inversion", mutate_gen_bounds, "gen-bounds");
-    ("load-bound-inversion", mutate_load_bounds, "load-bounds");
-    ("meas-count-skew", mutate_meas_skew, "meas-count");
+    ("islanding-cut", mutate_islanding_cut, "islanded-bus", false);
+    ("sign-flip", mutate_sign_flip, "nonpositive-admittance", false);
+    ("duplicate-row", mutate_duplicate_row, "duplicate-line", false);
+    ("gen-bound-inversion", mutate_gen_bounds, "gen-bounds", false);
+    ("load-bound-inversion", mutate_load_bounds, "load-bounds", false);
+    ("meas-count-skew", mutate_meas_skew, "meas-count", false);
+    ("split-load", mutate_split_load, "duplicate-load", true);
+    ("stacked-generator", mutate_stacked_gen, "duplicate-generator", true);
   ]
 
 let fuzz_system ~buses ~seed ~rounds =
@@ -120,9 +163,11 @@ let fuzz_system ~buses ~seed ~rounds =
   let rng = Rng.make (Hashtbl.hash (buses, seed, "grid_fuzz")) in
   for round = 1 to rounds do
     List.iter
-      (fun (name, mutate, code) ->
+      (fun (name, mutate, code, rejected) ->
         let what = Printf.sprintf "%s round %d %s" what round name in
-        expect_code ~what ~code (mutate rng spec))
+        let mutant = mutate rng spec in
+        expect_code ~what ~code mutant;
+        if rejected then expect_rejected ~what mutant)
       classes
   done
 
